@@ -208,6 +208,11 @@ def monte_carlo_stationary(
     Uses only the model's transition_sample (one draw per step), so it works
     against the restricted model-free view.  Deterministic given the seed.
     No burn-in by default: the average starts at x_0.
+
+    The loop reads the policy from a list and counts visits in Python ints:
+    numpy scalar indexing per step would cost more than the draw itself.
+    Exact integer counts divided once give the same bits as float counts,
+    and tests/test_golden.py pins the populations for fixed seeds.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -215,15 +220,16 @@ def monte_carlo_stationary(
         raise ValueError("burn_in must lie in [0, K]")
     rng = np.random.default_rng(seed)
     sample = model.population_sample_fn
-    actions = g.actions
-    counts = np.zeros(model.n_states)
+    actions = g.actions.tolist()
+    counts = [0] * model.n_states
     x = int(x0)
     if burn_in == 0:
-        counts[x] += 1.0
+        counts[x] += 1
     for k in range(1, K + 1):
-        x = int(sample(x, int(actions[x]), m, rng))
+        x = int(sample(x, actions[x], m, rng))
         if k >= burn_in:
-            counts[x] += 1.0
+            counts[x] += 1
+    counts = np.array(counts, dtype=float)
     return PopulationState(counts / counts.sum())
 
 

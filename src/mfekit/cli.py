@@ -252,16 +252,10 @@ def cmd_verify(args) -> int:
     scfg = _solver_config(config, model.name)
     exact = sol.algorithm in ("adaptive_vfi", "broyden", "fixed_point")
 
-    # The interaction check is an integrity check on the artifact: the
-    # recomputed residual must not exceed what the solution claims (bracket-
-    # converged solves can legitimately sit above residual_tol, and they say
-    # so in their stored residual).
-    interaction_tol = max(scfg.residual_tol, sol.residual * (1 + 1e-9) + 1e-12)
     report = solution_certificate(
         model,
         sol,
         consistency_tol=1e-10 if exact else float("inf"),
-        interaction_tol=interaction_tol,
         check_optimality=exact,
         cfg=scfg,
     )

@@ -124,11 +124,6 @@ class DirectPolicy:
         return StationaryPolicy(masked.argmax(axis=1), self.m)
 
 
-def _greedy_feasible(q_row: np.ndarray, feasible_row: np.ndarray) -> int:
-    masked = np.where(feasible_row, q_row, -np.inf)
-    return int(masked.argmax())
-
-
 def q_learning(model, m: float, cfg: LearningConfig) -> QTable:
     """Episodic asynchronous Q-learning at a frozen interaction value.
 
@@ -144,17 +139,27 @@ def q_learning(model, m: float, cfg: LearningConfig) -> QTable:
     readout); the recursion itself is unchanged.  The averaged table damps
     the stationary noise of the iterates and is what the oracle-comparison
     tests use.
+
+    The loop touches one table cell at a time, and indexing a numpy array
+    per scalar costs several times a Python list lookup, so the table, the
+    counts, the row maxima, the replay ring and the averaging accumulators
+    are plain lists; numpy only builds the returned QTable.  The arithmetic
+    is the same IEEE double arithmetic as an array version, and the greedy
+    action is the first maximum in ascending action order, so the outputs
+    for a seed are pinned bit for bit by tests/test_golden.py.
     """
     view: SampleView = as_sample_view(model)
     rng = np.random.default_rng(cfg.seed)
+    random, integers = rng.random, rng.integers
+    payoff_sample = view.payoff_sample
     n, k = view.n_states, view.n_actions
     beta = view.discount
     feasible = view.action_space.mask(n)
-    feasible_lists = [np.array(view.action_space.feasible_at(x)) for x in range(n)]
-    neg_mask = np.where(feasible, 0.0, -np.inf)   # for fast feasible row-max
+    feasible_lists = [tuple(view.action_space.feasible_at(x)) for x in range(n)]
+    ascending = [sorted(feas) for feas in feasible_lists]   # greedy scan order
 
-    Q = np.zeros((n, k))                          # table; masked view exported at the end
-    counts = np.zeros((n, k), dtype=np.int64)
+    Q = [[0.0] * k for _ in range(n)]             # table; masked array exported at the end
+    counts = [[0] * k for _ in range(n)]
 
     H = cfg.updates
     episodes_total = max(1, -(-H // cfg.episode_length))
@@ -164,17 +169,15 @@ def q_learning(model, m: float, cfg: LearningConfig) -> QTable:
     else:
         decay = 1.0
 
-    buf_x = np.empty(cfg.replay_capacity, dtype=np.int64)
-    buf_a = np.empty(cfg.replay_capacity, dtype=np.int64)
-    buf_r = np.empty(cfg.replay_capacity, dtype=float)
-    buf_y = np.empty(cfg.replay_capacity, dtype=np.int64)
+    capacity = cfg.replay_capacity
+    ring = [None] * capacity                      # (x, a, r, y) tuples, FIFO
     buf_size = 0
     buf_head = 0
 
     # Row maxima over feasible actions, maintained incrementally: replay
     # targets need max_a' Q(y, a') once per tuple and recomputing the row is
     # the dominant cost otherwise.
-    row_max = np.zeros(n)
+    row_max = [0.0] * n
 
     constant_rate = cfg.rate_mode == "constant"
     lr = cfg.learning_rate
@@ -187,69 +190,72 @@ def q_learning(model, m: float, cfg: LearningConfig) -> QTable:
     total_tuple_updates = H * batch
     avg_start = int(round((1.0 - cfg.tail_average) * total_tuple_updates))
     averaging = cfg.tail_average > 0.0
-    acc = np.zeros((n, k))
-    last_u = np.full((n, k), avg_start, dtype=np.int64)
+    acc = [[0.0] * k for _ in range(n)]
+    last_u = [[avg_start] * k for _ in range(n)]
     u = 0
 
     epsilon = cfg.epsilon0
     episode = 0
     trace = []
-    x = int(rng.integers(n))
+    x = int(integers(n))
     step_in_episode = 0
     episode_reward = 0.0
 
-    for step in range(H):
-        feas = feasible_lists[x]
-        if rng.random() < epsilon:
-            a = int(feas[rng.integers(len(feas))])
+    for _ in range(H):
+        if random() < epsilon:
+            feas = feasible_lists[x]
+            a = feas[integers(len(feas))]
         else:
-            a = int((Q[x] + neg_mask[x]).argmax())
-        r, y = view.payoff_sample(x, a, m, rng)
+            a = max(ascending[x], key=Q[x].__getitem__)   # first maximum: ties go low
+        r, y = payoff_sample(x, a, m, rng)
+        r, y = float(r), int(y)
         episode_reward += r
 
-        buf_x[buf_head], buf_a[buf_head], buf_r[buf_head], buf_y[buf_head] = x, a, r, int(y)
-        buf_head = (buf_head + 1) % cfg.replay_capacity
-        buf_size = min(buf_size + 1, cfg.replay_capacity)
+        ring[buf_head] = (x, a, r, y)
+        buf_head = (buf_head + 1) % capacity
+        buf_size = min(buf_size + 1, capacity)
 
-        for i in rng.integers(buf_size, size=batch):
-            bx, ba = int(buf_x[i]), int(buf_a[i])
-            target = buf_r[i] + beta * row_max[int(buf_y[i])]
+        for i in integers(buf_size, size=batch).tolist():
+            bx, ba, br, by = ring[i]
+            target = br + beta * row_max[by]
+            q_row = Q[bx]
             if constant_rate:
                 gamma = lr
             else:
-                gamma = min(rate_c / (1.0 + counts[bx, ba]) ** rate_exp, 1.0)
-            old = Q[bx, ba]
+                gamma = min(rate_c / (1.0 + counts[bx][ba]) ** rate_exp, 1.0)
+            old = q_row[ba]
             new = old + gamma * (target - old)
             if averaging and u >= avg_start:
-                acc[bx, ba] += old * (u - last_u[bx, ba])
-                last_u[bx, ba] = u
-            Q[bx, ba] = new
-            counts[bx, ba] += 1
+                acc[bx][ba] += old * (u - last_u[bx][ba])
+                last_u[bx][ba] = u
+            q_row[ba] = new
+            counts[bx][ba] += 1
             u += 1
             if new > row_max[bx]:
                 row_max[bx] = new
             elif old == row_max[bx] and new < old:
-                row_max[bx] = (Q[bx] + neg_mask[bx]).max()
+                row_max[bx] = max([q_row[b] for b in feasible_lists[bx]])
 
-        x = int(y)
+        x = y
         step_in_episode += 1
         if step_in_episode >= cfg.episode_length:
             trace.append((episode, episode_reward / step_in_episode, epsilon))
             episode += 1
             epsilon = max(cfg.epsilon_min, cfg.epsilon0 * decay**episode)
-            x = int(rng.integers(n))
+            x = int(integers(n))
             step_in_episode = 0
             episode_reward = 0.0
 
+    q_out = np.array(Q)
     if averaging and total_tuple_updates > avg_start:
-        acc += Q * (total_tuple_updates - last_u)
-        q_out = acc / (total_tuple_updates - avg_start)
-    else:
-        q_out = Q
+        q_out = (np.array(acc) + q_out * (total_tuple_updates - np.array(last_u))) / (
+            total_tuple_updates - avg_start
+        )
 
     return QTable(
         q=np.where(feasible, q_out, np.nan), m=float(m), feasible=feasible,
-        update_counts=counts, env_steps=H, episodes=episode, trace=trace,
+        update_counts=np.array(counts, dtype=np.int64), env_steps=H, episodes=episode,
+        trace=trace,
     )
 
 

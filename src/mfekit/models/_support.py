@@ -30,18 +30,18 @@ class DiscreteDistribution:
         if np.any(probs < 0):
             raise ValueError("negative probability")
         self.probs = probs / probs.sum()
-        self._cdf = np.cumsum(self.probs)
-        self._cdf[-1] = 1.0
+        self.cdf = np.cumsum(self.probs)
+        self.cdf[-1] = 1.0
 
     @property
     def mean(self) -> float:
         return float(self.values @ self.probs)
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(self.values[int(np.searchsorted(self._cdf, rng.random(), side="right"))])
+        return float(self.values[int(np.searchsorted(self.cdf, rng.random(), side="right"))])
 
     def sample_index(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        return int(np.searchsorted(self.cdf, rng.random(), side="right"))
 
 
 def params_from_dict(cls, data: dict):

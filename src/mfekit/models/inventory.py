@@ -9,6 +9,7 @@ order-up-to levels (the policy), not just on the state distribution.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,22 +64,28 @@ def build_inventory_model(params: InventoryParams | None = None) -> ModelSpec:
     zeta = baseline_demand_distribution(p)
     zeta_vals = zeta.values
     zeta_probs = zeta.probs
+    zeta_cdf = zeta.cdf.tolist()
     act_vals = np.array(actions.values)
+    act_levels = [int(v) for v in actions.values]
 
-    # m is frozen across the very many per-step calls a learner makes, so a
-    # one-slot cache on the enumerated demand vector pays for itself.
-    _demand_cache: dict = {}
+    # m is frozen across the very many per-step calls a learner makes, so
+    # everything that depends on m alone lives in one slot, rebuilt when m
+    # changes: the realized demand per shock index (as an array for the
+    # enumerated law, as ints for the sampler) and a memo of expected
+    # payoffs, filled on first use by the scalar formula below.  The slot is
+    # (m, demand array, demand list, memo[x][a]) and is replaced as a whole,
+    # so a reader never sees a half-built one.
+    slot = (None, None, None, None)
 
-    def demands(m: float) -> np.ndarray:
-        hit = _demand_cache.get(m)
-        if hit is None:
-            hit = np.array([inventory_demand(z, m, p.spillover) for z in zeta_vals], dtype=float)
-            _demand_cache.clear()
-            _demand_cache[m] = hit
-        return hit
+    def at(m: float):
+        nonlocal slot
+        current = slot
+        if current[0] != m:
+            D = [inventory_demand(z, m, p.spillover) for z in zeta_vals]
+            current = slot = (m, np.array(D, dtype=float), D, [[None] * n for _ in range(n)])
+        return current
 
-    def payoff(x, a, m):
-        D = demands(float(m))
+    def expected_payoff(x, a, D):
         a_val = act_vals[a]
         revenue = p.revenue_share * p.price * float(zeta_probs @ np.minimum(a_val, D))
         production = (a_val - x) ** 2
@@ -86,16 +93,25 @@ def build_inventory_model(params: InventoryParams | None = None) -> ModelSpec:
         shortage = p.shortage_cost * float(zeta_probs @ np.maximum(D - a_val, 0.0))
         return revenue - production - holding - shortage
 
+    def payoff(x, a, m):
+        _, D, _, memo = at(float(m))
+        value = memo[x][a]
+        if value is None:
+            value = memo[x][a] = expected_payoff(x, a, D)
+        return value
+
     def transition_row(x, a, m):
-        D = demands(float(m))
+        D = at(float(m))[1]
         row = np.zeros(n)
         nxt = np.clip(act_vals[a] - D, 0, None).astype(int)
         np.add.at(row, nxt, zeta_probs)
         return row
 
     def transition_sample(x, a, m, rng):
-        z = zeta.sample(rng)
-        return max(int(act_vals[a]) - inventory_demand(z, float(m), p.spillover), 0)
+        # bisect_right on the CDF list is searchsorted(side="right"): the
+        # same shock index, hence the same draw as zeta.sample.
+        demand = at(float(m))[2][bisect_right(zeta_cdf, rng.random())]
+        return max(act_levels[a] - demand, 0)
 
     def payoff_sample(x, a, m, rng):
         # The game's flow payoff is itself the expectation over the demand

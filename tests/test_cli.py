@@ -69,6 +69,21 @@ def test_verify_round_trip_with_overridden_params(tmp_path):
     assert run_cli("verify", str(out / "solution.json")) == 0
 
 
+def test_verify_fails_bracket_stopped_solve_above_residual_tol(tmp_path, capsys):
+    # At alpha=50 the bisection bracket closes on a jump in f with
+    # |f| ~ 0.042, far above residual_tol = 1e-3; verify must not take the
+    # stored residual as its own tolerance.
+    out = tmp_path / "cap50"
+    run_cli("solve", "--model", "capacity", "--set", "alpha=50", "--out", str(out))
+    capsys.readouterr()
+    assert run_cli("verify", str(out / "solution.json")) == 1
+    lines = capsys.readouterr().out.splitlines()
+    interaction = [line for line in lines if "interaction" in line]
+    assert len(interaction) == 1
+    assert interaction[0].startswith("[FAIL]")
+    assert "tol 0.001" in interaction[0]
+
+
 def test_verify_detects_perturbed_m_star(tmp_path, capsys):
     out = tmp_path / "run"
     run_cli("solve", "--model", "two-state-toy", "--out", str(out))

@@ -113,6 +113,20 @@ def test_greedy_policy_tie_breaks_low(toy_model):
     assert g.actions.tolist() == [0, 1]
 
 
+def test_q_learning_exploit_ties_go_to_lowest_index_in_any_feasible_order():
+    # Equal payoffs keep both Q-values at 0, so every greedy step is a tie;
+    # it must go to action 0 even though the feasible tuple lists 1 first.
+    import dataclasses
+
+    model = make_simple_model([[0.0, 0.0]], [[[1.0], [1.0]]], discount=0.5)
+    model = dataclasses.replace(
+        model, action_space=ActionSpace(values=(0.0, 1.0), feasible=((1, 0),))
+    )
+    cfg = LearningConfig(updates=200, seed=0, epsilon0=0.0, epsilon_min=0.0)
+    q = q_learning(model, 0.5, cfg)
+    assert q.update_counts.tolist() == [[200 * cfg.minibatch, 0]]
+
+
 def test_q_learning_matches_dp_oracle_small_model():
     # ||Q_hat - Q*||_inf <= 0.05 against the one-step-lookahead oracle at the
     # Robbins-Monro schedule (unit-scale rewards, 3 states).
