@@ -23,11 +23,14 @@ from .core import validate_model
 from .equilibrium import SolverConfig, solution_certificate
 from .experiments import (
     ALGORITHMS,
+    LEARNERS,
     SweepGrid,
     comparative_statics_sweep,
     heatmap_matrix_csv,
     heatmap_svg,
+    run_algorithm,
 )
+from .learning import LearningConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,38 +101,18 @@ def _solver_config(config: dict, model_name: str) -> SolverConfig:
 
 
 def cmd_solve(args) -> int:
-    from .equilibrium import adaptive_vfi, broyden_solve, fixed_point_iteration
-    from .core import PopulationState
-    from .learning import LearningConfig, adaptive_policy_gradient, adaptive_q_learning
-
     config = _assemble_config(args)
     model = _model_from_config(config)
     scfg = _solver_config(config, model.name)
     algorithm = args.algorithm
-
-    t0 = time.perf_counter()
-    if algorithm == "vfi":
-        sol = adaptive_vfi(model, scfg)
-    elif algorithm == "broyden":
-        sol = broyden_solve(model, scfg)
-    elif algorithm == "fixedpoint":
-        # Start from the minimal state's point mass (the same default
-        # origin the samplers use); the uniform start is an equilibrium for
-        # some models, which would make the baseline look spuriously good.
-        sol = fixed_point_iteration(
-            model, PopulationState.point_mass(model.n_states, 0), damping=scfg.damping, cfg=scfg
-        )
-    elif algorithm in ("qlearn", "pgrad"):
-        lcfg_dict = dict(config.get("learning") or {})
-        unknown = set(lcfg_dict) - set(LearningConfig.__dataclass_fields__)
+    learning = config.get("learning") or {}
+    if algorithm in LEARNERS:
+        unknown = set(learning) - set(LearningConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown learning key(s): {sorted(unknown)}")
-        lcfg_dict["seed"] = args.seed
-        lcfg = LearningConfig(**lcfg_dict)
-        runner = adaptive_q_learning if algorithm == "qlearn" else adaptive_policy_gradient
-        sol = runner(model, scfg, lcfg)
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+
+    t0 = time.perf_counter()
+    sol = run_algorithm(model, algorithm, scfg, learning, seed=args.seed)
     elapsed = time.perf_counter() - t0
 
     out_dir = Path(args.out)
@@ -233,8 +216,7 @@ def cmd_verify(args) -> int:
             runio.set_by_path(config, key, value)
     else:
         config = _assemble_config(args)
-    record = json.loads(solution_path.read_text())
-    sol = runio.solution_from_dict(record)
+    sol = runio.load_solution(solution_path)
 
     model_name = config["model"].get("name") or sol.model_name
     if sol.model_name and model_name != sol.model_name:

@@ -213,10 +213,6 @@ class StationaryPolicy:
             if a not in model.action_space.feasible_at(x):
                 raise ValueError(f"policy action {a} infeasible at state index {x}")
 
-    def action_values(self, model: "ModelSpec") -> np.ndarray:
-        vals = model.action_space.values
-        return np.array([vals[a] for a in self.actions])
-
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:

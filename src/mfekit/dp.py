@@ -3,11 +3,15 @@
 Plain value-function iteration on the Bellman operator, with greedy policy
 extraction.  The interaction value m is data here, never a choice variable:
 the equilibrium layer is responsible for moving it.
+
+Nothing is kept between calls.  model_matrices enumerates the payoff matrix
+and transition tensor afresh each time it is called; value_iteration fetches
+them once and iterates on those arrays, and hands the final one-step
+lookahead to extract_policy with its result.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,29 +21,13 @@ from .core import ModelSpec, StationaryPolicy
 
 _NEG_INF = -np.inf
 
-# Per-model cache of enumerated (payoff matrix, transition tensor) keyed by m.
-# Bisection revisits few m values per solve, so a short LRU is enough.
-_matrix_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_CACHE_PER_MODEL = 48
-
-
-def _m_key(m):
-    arr = np.atleast_1d(np.asarray(m, dtype=float))
-    return tuple(arr.tolist())
-
 
 def model_matrices(model: ModelSpec, m):
-    """Dense (R, T, mask) arrays for vectorized backups.
+    """Dense (R, T, mask) arrays for vectorized backups, built on every call.
 
     R[x, a] is the payoff (-inf when infeasible), T[x, a, :] the transition
     row (zeros when infeasible), mask the feasibility indicator.
     """
-    per_model = _matrix_cache.setdefault(model, {})
-    key = _m_key(m)
-    hit = per_model.get(key)
-    if hit is not None:
-        return hit
-
     n, k = model.n_states, model.n_actions
     R = np.full((n, k), _NEG_INF)
     T = np.zeros((n, k, n))
@@ -48,38 +36,44 @@ def model_matrices(model: ModelSpec, m):
         for a in model.action_space.feasible_at(x):
             R[x, a] = model.payoff(x, a, m)
             T[x, a, :] = model.transition_row(x, a, m)
-
-    if len(per_model) >= _CACHE_PER_MODEL:
-        per_model.pop(next(iter(per_model)))
-    per_model[key] = (R, T, mask)
     return R, T, mask
 
 
 @dataclass
 class ValueTable:
-    """Value function V(., m) together with the last backup's sup-norm change."""
+    """Value function V(., m) together with the last backup's sup-norm change.
+
+    value_iteration also stores the one-step lookahead at the final values,
+    lookahead[x, a] = R[x, a] + beta * T[x, a] @ values, from which
+    extract_policy reads the greedy policy.
+    """
 
     values: np.ndarray
     m: float | np.ndarray
     sup_norm_residual: float = np.inf
     iterations: int = 0
     converged: bool = True
+    lookahead: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
 
 
-def _lookahead(model: ModelSpec, values: np.ndarray, m) -> np.ndarray:
+def _backup(R: np.ndarray, T: np.ndarray, beta: float, values: np.ndarray) -> np.ndarray:
     """Q[x, a] = payoff + beta * E[V(next)] with -inf on infeasible pairs."""
+    return R + beta * (T @ values)
+
+
+def _lookahead(model: ModelSpec, values: np.ndarray, m) -> np.ndarray:
+    """The lookahead of values at m, on freshly built tables."""
     R, T, _ = model_matrices(model, m)
-    return R + model.discount * (T @ values)
+    return _backup(R, T, model.discount, values)
 
 
 def bellman_backup(model: ModelSpec, V: ValueTable, m=None) -> ValueTable:
     """One Bellman backup: V'(x) = max_{a in feasible(x)} lookahead(x, a)."""
     m = V.m if m is None else m
-    q = _lookahead(model, V.values, m)
-    new_values = q.max(axis=1)
+    new_values = _lookahead(model, V.values, m).max(axis=1)
     residual = float(np.max(np.abs(new_values - V.values)))
     return ValueTable(new_values, m, sup_norm_residual=residual, iterations=V.iterations + 1)
 
@@ -101,41 +95,25 @@ def value_iteration(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    table = ValueTable(np.zeros(model.n_states), m, iterations=0)
-    for _ in range(max_iters):
-        table = bellman_backup(model, table, m)
-        if table.sup_norm_residual <= tol:
-            return table
-    table.converged = False
-    return table
+    R, T, _ = model_matrices(model, m)
+    beta = model.discount
+    values = np.zeros(model.n_states)
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        new_values = _backup(R, T, beta, values).max(axis=1)
+        residual = float(np.max(np.abs(new_values - values)))
+        values = new_values
+        if residual <= tol:
+            converged = True
+            break
+    return ValueTable(
+        values, m, sup_norm_residual=residual, iterations=iterations, converged=converged,
+        lookahead=_backup(R, T, beta, values),
+    )
 
 
-def extract_policy(
-    model: ModelSpec,
-    V: ValueTable,
-    m=None,
-    tie_perturbation: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> StationaryPolicy:
-    """Greedy policy from the one-step lookahead, ties broken by lowest index.
-
-    tie_perturbation > 0 adds uniform noise of that magnitude to the lookahead
-    before the argmax, for models with genuinely tied payoffs where a
-    deterministic selection would be degenerate.
-    """
-    m = V.m if m is None else m
-    q = _lookahead(model, V.values, m)
-    if tie_perturbation > 0.0:
-        rng = np.random.default_rng() if rng is None else rng
-        noise = tie_perturbation * rng.random(q.shape)
-        q = np.where(np.isfinite(q), q + noise, q)
+def extract_policy(model: ModelSpec, V: ValueTable) -> StationaryPolicy:
+    """Greedy policy from the lookahead value_iteration stored in V, ties
+    broken by lowest index."""
     # np.argmax returns the first (= lowest-index) maximizer.
-    actions = q.argmax(axis=1)
-    return StationaryPolicy(actions, m)
-
-
-def greedy_lookahead_values(model: ModelSpec, V: ValueTable, g: StationaryPolicy, m=None) -> np.ndarray:
-    """Lookahead evaluated at the policy's own actions (certificate helper)."""
-    m = V.m if m is None else m
-    q = _lookahead(model, V.values, m)
-    return q[np.arange(model.n_states), g.actions]
+    return StationaryPolicy(V.lookahead.argmax(axis=1), V.m)

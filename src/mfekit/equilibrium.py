@@ -48,8 +48,6 @@ class SolverConfig:
     vfi_max_iters: int = 1000
     max_outer: int = 60
     damping: float = 1.0
-    require_ergodic: bool = False
-    tie_perturbation: float = 0.0
 
     def __post_init__(self):
         if self.bracket_tol <= 0 or self.residual_tol <= 0:
@@ -108,9 +106,9 @@ def residual(model: ModelSpec, m, cfg: Optional[SolverConfig] = None) -> Residua
     distribution -> interaction value."""
     cfg = cfg or SolverConfig()
     V = dp.value_iteration(model, m, tol=cfg.vfi_tol, max_iters=cfg.vfi_max_iters)
-    g = dp.extract_policy(model, V, m, tie_perturbation=cfg.tie_perturbation)
+    g = dp.extract_policy(model, V)
     P = build_chain(model, g, m)
-    s = stationary_distribution(P, require_ergodic=cfg.require_ergodic)
+    s = stationary_distribution(P)
     m_of_s, raw, _ = interaction_value_detailed(model, s, g, m)
     f = np.asarray(m, dtype=float) - np.asarray(m_of_s, dtype=float)
     f_raw = np.asarray(m, dtype=float) - raw
@@ -244,7 +242,7 @@ def fixed_point_iteration(
     delta = np.inf
     for it in range(1, max_iters + 1):
         V = dp.value_iteration(model, m, tol=cfg.vfi_tol, max_iters=cfg.vfi_max_iters)
-        g = dp.extract_policy(model, V, m, tie_perturbation=cfg.tie_perturbation)
+        g = dp.extract_policy(model, V)
         P = build_chain(model, g, m)
         s_next = (1.0 - damping) * s + damping * (s @ P.rows)
         delta = float(np.abs(s_next - s).sum())
@@ -444,7 +442,7 @@ def solution_certificate(
 
     if check_optimality:
         V = dp.value_iteration(model, sol.m_star, tol=cfg.vfi_tol, max_iters=cfg.vfi_max_iters)
-        g_ref = dp.extract_policy(model, V, sol.m_star, tie_perturbation=cfg.tie_perturbation)
+        g_ref = dp.extract_policy(model, V)
         mismatches = int(np.sum(g_ref.actions != sol.policy.actions))
         checks["optimality"] = (mismatches == 0, f"{mismatches} state(s) deviate from the greedy policy")
 

@@ -25,6 +25,7 @@ from .learning import LearningConfig, adaptive_policy_gradient, adaptive_q_learn
 from .core import PopulationState
 
 ALGORITHMS = ("vfi", "qlearn", "pgrad", "broyden", "fixedpoint")
+LEARNERS = ("qlearn", "pgrad")
 
 
 def cell_seed(base_seed: int, index_tuple: tuple) -> int:
@@ -126,6 +127,36 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def run_algorithm(
+    model,
+    algorithm: str,
+    scfg: SolverConfig,
+    learning_overrides: Optional[dict] = None,
+    seed: int = 0,
+) -> MfeSolution:
+    """Run one of ALGORITHMS on a built model.
+
+    learning_overrides and seed make the LearningConfig of the learners
+    (LEARNERS); the exact solvers ignore both.
+    """
+    if algorithm == "vfi":
+        return adaptive_vfi(model, scfg)
+    if algorithm == "broyden":
+        return broyden_solve(model, scfg)
+    if algorithm == "fixedpoint":
+        # Start from the minimal state's point mass (the same default
+        # origin the samplers use); the uniform start is an equilibrium for
+        # some models, which would make the baseline look spuriously good.
+        return fixed_point_iteration(
+            model, PopulationState.point_mass(model.n_states, 0), damping=scfg.damping, cfg=scfg
+        )
+    if algorithm in LEARNERS:
+        lcfg = LearningConfig(**{**(learning_overrides or {}), "seed": seed})
+        runner = adaptive_q_learning if algorithm == "qlearn" else adaptive_policy_gradient
+        return runner(model, scfg, lcfg)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
 def solve_by_name(
     model_name: str,
     params: dict,
@@ -136,26 +167,8 @@ def solve_by_name(
 ) -> tuple[MfeSolution, object]:
     """Build a registered model and run the chosen solver on it."""
     model = model_registry.build_model(model_name, params)
-    scfg_dict = {**model_registry.solver_defaults(model_name), **(solver_overrides or {})}
-    scfg = SolverConfig(**scfg_dict)
-    if algorithm == "vfi":
-        sol = adaptive_vfi(model, scfg)
-    elif algorithm == "broyden":
-        sol = broyden_solve(model, scfg)
-    elif algorithm == "fixedpoint":
-        # Start from the minimal state's point mass (the same default
-        # origin the samplers use); the uniform start is an equilibrium for
-        # some models, which would make the baseline look spuriously good.
-        sol = fixed_point_iteration(
-            model, PopulationState.point_mass(model.n_states, 0), damping=scfg.damping, cfg=scfg
-        )
-    elif algorithm in ("qlearn", "pgrad"):
-        lcfg = LearningConfig(**{**(learning_overrides or {}), "seed": seed})
-        runner = adaptive_q_learning if algorithm == "qlearn" else adaptive_policy_gradient
-        sol = runner(model, scfg, lcfg)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return sol, model
+    scfg = SolverConfig(**{**model_registry.solver_defaults(model_name), **(solver_overrides or {})})
+    return run_algorithm(model, algorithm, scfg, learning_overrides, seed), model
 
 
 def _run_cell(args) -> SweepCell:

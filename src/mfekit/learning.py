@@ -24,7 +24,6 @@ import numpy as np
 from . import dp
 from .chain import monte_carlo_stationary
 from .core import (
-    ModelSpec,
     SampleView,
     StationaryPolicy,
     as_sample_view,
@@ -280,15 +279,15 @@ def simplex_projection(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _policy_value_and_gradient(model: ModelSpec, sigma: np.ndarray, m: float):
-    """Exact value and gradient of the discounted return under sigma.
+def _policy_value_and_gradient(R: np.ndarray, T: np.ndarray, mask: np.ndarray,
+                               beta: float, sigma: np.ndarray):
+    """Exact value and gradient of the discounted return under sigma, on the
+    model's (R, T, mask) tables at the frozen m.
 
     Direct parameterization: grad[x, a] = d(x) * Q_sigma(x, a) / (1 - beta)
     with d the normalized discounted occupancy from a uniform start.
     """
-    R, T, mask = dp.model_matrices(model, m)
-    n = model.n_states
-    beta = model.discount
+    n = mask.shape[0]
     R0 = np.where(mask, R, 0.0)
     P_sigma = np.einsum("xa,xay->xy", sigma, T)
     r_sigma = np.einsum("xa,xa->x", sigma, R0)
@@ -356,8 +355,9 @@ def projected_policy_gradient(
 
     Each step moves sigma along the policy gradient and projects every
     state's row back onto the simplex over its feasible actions.  The exact
-    estimator differentiates through the model's transition law; the sampled
-    estimator only touches the simulator.  Deterministic given the seed.
+    estimator differentiates through the model's tables at m, built once per
+    call; the sampled estimator only touches the simulator.  Deterministic
+    given the seed.
     """
     cfg = cfg or LearningConfig()
     steps = cfg.pg_steps if steps is None else steps
@@ -369,8 +369,7 @@ def projected_policy_gradient(
         view = as_sample_view(model)
         mask = view.action_space.mask(view.n_states)
     elif estimator == "exact":
-        view = None
-        mask = model.action_space.mask(model.n_states)
+        R, T, mask = dp.model_matrices(model, m)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     n = mask.shape[0]
@@ -382,7 +381,7 @@ def projected_policy_gradient(
     value = None
     for _ in range(steps):
         if estimator == "exact":
-            value, grad = _policy_value_and_gradient(model, sigma, m)
+            value, grad = _policy_value_and_gradient(R, T, mask, model.discount, sigma)
         else:
             value, grad = _sampled_value_and_gradient(view, sigma, m, cfg, rng)
         updated = sigma + rate * grad
@@ -390,7 +389,7 @@ def projected_policy_gradient(
         for x in range(n):
             sigma[x, feas_idx[x]] = simplex_projection(updated[x, feas_idx[x]])
     if estimator == "exact":
-        value, _ = _policy_value_and_gradient(model, sigma, m)
+        value, _ = _policy_value_and_gradient(R, T, mask, model.discount, sigma)
     return DirectPolicy(probs=sigma, m=float(m), feasible=mask, value=value)
 
 

@@ -40,9 +40,6 @@ class DiscreteDistribution:
     def sample(self, rng: np.random.Generator) -> float:
         return float(self.values[int(np.searchsorted(self.cdf, rng.random(), side="right"))])
 
-    def sample_index(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self.cdf, rng.random(), side="right"))
-
 
 def params_from_dict(cls, data: dict):
     """Build a params record from a mapping, rejecting unknown keys."""

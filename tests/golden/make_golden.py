@@ -1,29 +1,43 @@
-"""Rebuild the fixed-seed golden outputs of the model-free path.
+"""Rebuild the golden outputs of the model-free and the exact path.
 
-The golden file pins the exact bits of what the stochastic code returns for
+model_free.json pins the exact bits of what the stochastic code returns for
 fixed seeds and small budgets: Q-learning tables, visit counts and learning
 curves, one short adaptive Q-learning solve, Monte Carlo populations, and the
 inventory model's enumerated tables (which share the simulator's per-m
-tabulation).  Floats are stored with float.hex, so a comparison is bitwise.
+tabulation).  exact.json pins the default adaptive_vfi solve of every
+built-in model: m*, the bisection trace, the stop, the policy and the
+population.  Floats are stored with float.hex, so a comparison is bitwise.
 
-A change that is meant to keep the random streams must leave this file
-untouched; only a change that alters them on purpose regenerates it:
+A change that is meant to keep the outputs must leave both files untouched;
+only a change that alters them on purpose regenerates the file it alters,
+e.g. for the random streams:
 
-    PYTHONPATH=src python tests/golden/make_golden.py --force
+    PYTHONPATH=src python tests/golden/make_golden.py --force model_free
 
-Without --force the script refuses to overwrite an existing file.
+Without --force the script refuses to overwrite an existing file; --print
+writes the named files' contents to stdout instead, which is how
+tests/test_golden.py recomputes them.
+
+The last bit of a LAPACK solve moves with the BLAS thread count, so the
+script pins BLAS to one thread before numpy loads; it must run as a fresh
+process for the pin to hold.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+import os
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-GOLDEN_PATH = Path(__file__).with_name("model_free.json")
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+GOLDEN_DIR = Path(__file__).parent
 
 
 def hexes(values) -> list:
@@ -104,6 +118,33 @@ def compute_cases() -> dict:
     return cases
 
 
+def compute_exact_cases() -> dict:
+    """The default adaptive_vfi solve of every built-in model."""
+    from mfekit import models
+    from mfekit.experiments import solve_by_name
+
+    cases = {}
+    for name in models.model_names():
+        sol, _ = solve_by_name(name, {}, "vfi")
+        cases[name] = {
+            "trace": [{key: (val.hex() if isinstance(val, float) else val)
+                       for key, val in row.items()} for row in sol.trace],
+            "m_star": float(sol.m_star).hex(),
+            "converged": sol.converged,
+            "stop_reason": sol.stop_reason,
+            "policy": sol.policy.actions.tolist(),
+            "population": hexes(sol.population.probs),
+        }
+    return cases
+
+
+GOLDEN_FILES = {"model_free": compute_cases, "exact": compute_exact_cases}
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}.json"
+
+
 def dumps(cases: dict) -> str:
     """One case per line, keys sorted, so a diff names the cases that moved."""
     lines = [f"{json.dumps(name)}: {json.dumps(cases[name], sort_keys=True)}"
@@ -113,13 +154,27 @@ def dumps(cases: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--force", action="store_true", help="overwrite an existing golden file")
+    parser.add_argument("--force", action="store_true", help="overwrite existing golden files")
+    parser.add_argument("--print", action="store_true", dest="to_stdout",
+                        help="write the contents to stdout, as one JSON object, not to the files")
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"golden files to write, of {sorted(GOLDEN_FILES)} (default: all)")
     args = parser.parse_args(argv)
-    if GOLDEN_PATH.exists() and not args.force:
-        print(f"{GOLDEN_PATH} exists; pass --force to regenerate it on purpose", file=sys.stderr)
+    names = args.names or sorted(GOLDEN_FILES)
+    unknown = sorted(set(names) - set(GOLDEN_FILES))
+    if unknown:
+        parser.error(f"unknown golden file(s) {unknown}; choose from {sorted(GOLDEN_FILES)}")
+    if args.to_stdout:
+        print(json.dumps({name: json.loads(dumps(GOLDEN_FILES[name]())) for name in names}))
+        return 0
+    existing = [golden_path(name) for name in names if golden_path(name).exists()]
+    if existing and not args.force:
+        print(f"{', '.join(map(str, existing))} exist(s); pass --force to regenerate on purpose",
+              file=sys.stderr)
         return 1
-    GOLDEN_PATH.write_text(dumps(compute_cases()))
-    print(f"wrote {GOLDEN_PATH}")
+    for name in names:
+        golden_path(name).write_text(dumps(GOLDEN_FILES[name]()))
+        print(f"wrote {golden_path(name)}")
     return 0
 
 

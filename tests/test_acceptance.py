@@ -305,7 +305,7 @@ def test_criterion_10_property_suite():
     for name in ("two-state-toy", "inventory", "ridesharing", "social-learning", "quality-ladder"):
         model = models.build_model(name, {})
         m = model.bounds.midpoint()
-        g = extract_policy(model, value_iteration(model, m, 1e-6, 4000), m)
+        g = extract_policy(model, value_iteration(model, m, 1e-6, 4000))
         s_exact = stationary_distribution(build_chain(model, g, m))
         for seed in (0, 1, 2):
             s_hat = monte_carlo_stationary(model, g, m, K=200_000, seed=seed)

@@ -22,7 +22,7 @@ def lowest_feasible_policy(model, m):
 
 
 def optimal_policy(model, m):
-    return extract_policy(model, value_iteration(model, m, 1e-6, 4000), m)
+    return extract_policy(model, value_iteration(model, m, 1e-6, 4000))
 
 
 def test_toy_chain_rows(toy_model):

@@ -4,6 +4,9 @@ import pytest
 import yaml
 
 from mfekit.cli import main
+from mfekit.equilibrium import solution_certificate
+from mfekit.io import load_solution
+from mfekit.models import build_model
 
 
 def run_cli(*argv) -> int:
@@ -60,6 +63,15 @@ def test_verify_round_trip(tmp_path):
     out = tmp_path / "run"
     assert run_cli("solve", "--model", "two-state-toy", "--out", str(out)) == 0
     assert run_cli("verify", str(out / "solution.json")) == 0
+
+    # A solution.json written while SolverConfig still had require_ergodic
+    # and tie_perturbation stores them; it must still load and verify.
+    path = out / "solution.json"
+    record = json.loads(path.read_text())
+    record["config"].update(require_ergodic=False, tie_perturbation=0.0)
+    path.write_text(json.dumps(record))
+    assert run_cli("verify", str(path)) == 0
+    assert solution_certificate(build_model("two-state-toy"), load_solution(path)).ok
 
 
 def test_verify_round_trip_with_overridden_params(tmp_path):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
+from mfekit import dp
 from mfekit.core import ActionSpace, ModelSpec, ScalarBounds, StateSpace
 from mfekit.dp import (
     ValueTable,
     bellman_backup,
     extract_policy,
-    greedy_lookahead_values,
     value_iteration,
 )
+from mfekit.equilibrium import SolverConfig, residual
+from mfekit.learning import projected_policy_gradient
 
 
 def single_state_model(payoff=1.0, discount=0.5):
@@ -95,16 +97,6 @@ def test_tie_break_lowest_action_index():
     assert g.actions[0] == 0
 
 
-def test_tie_perturbation_can_move_ties():
-    model = bandit_model(rewards=(0.7, 0.7, 0.7))
-    V = value_iteration(model, 0.5, 1e-9, 50)
-    picks = {
-        int(extract_policy(model, V, tie_perturbation=1e-6, rng=np.random.default_rng(s)).actions[0])
-        for s in range(20)
-    }
-    assert len(picks) > 1
-
-
 def test_contraction_on_random_value_pairs():
     rng = np.random.default_rng(0)
     for trial in range(25):
@@ -136,7 +128,7 @@ def test_greedy_policy_reproduces_backup_exactly():
         V = value_iteration(model, 0.5, tol=1e-8, max_iters=2000)
         g = extract_policy(model, V)
         tv = bellman_backup(model, V)
-        lookahead = greedy_lookahead_values(model, V, g)
+        lookahead = V.lookahead[np.arange(model.n_states), g.actions]
         assert np.array_equal(lookahead, tv.values)   # bitwise: same argmax entries
 
 
@@ -169,3 +161,21 @@ def test_value_iteration_contraction_error_bound(capacity_model):
     V_ref = value_iteration(capacity_model, 10.0, tol=1e-12, max_iters=100_000)
     gap = float(np.max(np.abs(V.values - V_ref.values)))
     assert gap <= tol * beta / (1.0 - beta)
+
+
+def test_one_evaluation_builds_its_tables_once(monkeypatch, capacity_model, inventory_model):
+    calls = []
+    build = dp.model_matrices
+
+    def counting(model, m):
+        calls.append(m)
+        return build(model, m)
+
+    monkeypatch.setattr(dp, "model_matrices", counting)
+    ev = residual(capacity_model, 10.0, SolverConfig())
+    assert ev.value_table.iterations > 1
+    assert calls == [10.0]
+
+    calls.clear()
+    projected_policy_gradient(inventory_model, 0.3, steps=50, rate=0.05, seed=1, estimator="exact")
+    assert calls == [0.3]
