@@ -15,7 +15,7 @@ from .core import (
     interaction_value_detailed,
     validate_model,
 )
-from .dp import ValueTable, bellman_backup, extract_policy, value_iteration
+from .dp import ValueTable, bellman_backup, extract_policy, policy_iteration, value_iteration
 from .chain import (
     TransitionMatrix,
     build_chain,

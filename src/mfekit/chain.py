@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import ModelSpec, PopulationState, StationaryPolicy
 
@@ -94,54 +92,102 @@ def build_chain(model: ModelSpec, g: StationaryPolicy, m) -> TransitionMatrix:
     return TransitionMatrix(rows, m=m, policy=np.array(g.actions))
 
 
-def _class_period(P: np.ndarray, states: np.ndarray) -> int:
-    """Period of an irreducible class: gcd over edges of level[u] + 1 - level[v]."""
-    sub = P[np.ix_(states, states)] > 0
-    k = len(states)
-    level = np.full(k, -1, dtype=int)
-    level[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        u = queue.pop()
-        for v in np.where(sub[u])[0]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
+def _strong_components(support: np.ndarray) -> tuple[int, np.ndarray]:
+    """Strongly connected components of the digraph with adjacency matrix
+    support, by iterative Kosaraju.  Returns (count, labels)."""
+    n = support.shape[0]
+
+    def adjacency(matrix):
+        # Row u's neighbours are targets[bounds[u]:bounds[u + 1]].
+        sources, targets = np.nonzero(matrix)
+        return targets.tolist(), np.searchsorted(sources, np.arange(n + 1)).tolist()
+
+    succ, succ_at = adjacency(support)
+    pred, pred_at = adjacency(support.T)
+
+    # Pass 1: the order in which depth-first searches of the graph finish.
+    finished: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[succ_at[root]:succ_at[root + 1]]))]
+        while stack:
+            u, neighbours = stack[-1]
+            for v in neighbours:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append((v, iter(succ[succ_at[v]:succ_at[v + 1]])))
+                    break
             else:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 0
+                stack.pop()
+                finished.append(u)
+
+    # Pass 2: searches of the reversed graph, latest finisher first; each
+    # one collects exactly one component.
+    labels = [-1] * n
+    count = 0
+    for root in reversed(finished):
+        if labels[root] >= 0:
+            continue
+        labels[root] = count
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in pred[pred_at[u]:pred_at[u + 1]]:
+                if labels[v] < 0:
+                    labels[v] = count
+                    stack.append(v)
+        count += 1
+    return count, np.array(labels)
+
+
+def _class_period(support: np.ndarray, states: np.ndarray) -> int:
+    """Period of an irreducible class: gcd over its edges (u, v) of
+    level[u] + 1 - level[v], with level the breadth-first distance from the
+    class's first state."""
+    sub = support[np.ix_(states, states)]
+    level = np.full(len(states), -1)
+    level[0] = 0
+    frontier = level == 0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = sub[frontier].any(axis=0) & (level < 0)
+        level[frontier] = depth
+    u, v = np.nonzero(sub)
+    return int(np.gcd.reduce(level[u] + 1 - level[v]))
 
 
 def ergodicity_check(P: TransitionMatrix) -> ErgodicityReport:
     """Irreducibility via strongly connected components of the support digraph
-    (any positive probability is an edge), aperiodicity via cycle-length gcds."""
-    rows = P.rows
-    n = P.n
-    support = csr_matrix(rows > 0)
-    n_comp, labels = connected_components(support, directed=True, connection="strong")
+    (any positive probability is an edge), aperiodicity via cycle-length gcds.
 
-    # A component is recurrent iff it has no edge leaving it.
-    recurrent = []
-    transient: list[int] = []
-    for c in range(n_comp):
-        states = np.where(labels == c)[0]
-        mass_inside = rows[np.ix_(states, states)].sum(axis=1)
-        if np.all(np.abs(mass_inside - 1.0) <= RESIDUAL_TOL):
-            recurrent.append(states)
-        else:
-            transient.extend(states.tolist())
+    Recurrent classes are listed in the order of their smallest state.
+    """
+    rows = P.rows
+    support = rows > 0
+    n_comp, labels = _strong_components(support)
+
+    # A component is recurrent iff no probability mass leaves any of its rows.
+    same = labels[:, None] == labels[None, :]
+    mass_inside = np.sum(rows, axis=1, where=same)
+    closed = np.ones(n_comp, dtype=bool)
+    closed[labels[np.abs(mass_inside - 1.0) > RESIDUAL_TOL]] = False
+    recurrent = sorted((np.flatnonzero(labels == c) for c in np.flatnonzero(closed)), key=lambda s: s[0])
+    transient = np.flatnonzero(~closed[labels])
 
     irreducible = n_comp == 1
-    periods = [_class_period(rows, states) for states in recurrent]
+    periods = [_class_period(support, states) for states in recurrent]
     period = max(periods) if periods else None
     aperiodic = all(p == 1 for p in periods) if periods else False
     return ErgodicityReport(
         ergodic=irreducible and aperiodic,
         irreducible=irreducible,
         aperiodic=aperiodic,
-        recurrent_classes=[list(map(int, s)) for s in recurrent],
-        transient_states=sorted(transient),
+        recurrent_classes=[s.tolist() for s in recurrent],
+        transient_states=transient.tolist(),
         period=period,
     )
 

@@ -1,13 +1,15 @@
 """Single-agent dynamic programming at a fixed interaction value.
 
-Plain value-function iteration on the Bellman operator, with greedy policy
-extraction.  The interaction value m is data here, never a choice variable:
-the equilibrium layer is responsible for moving it.
+Howard policy iteration (the exact best response the equilibrium solvers
+use) and plain value-function iteration on the Bellman operator (kept as a
+reference), with greedy policy extraction.  The interaction value m is data
+here, never a choice variable: the equilibrium layer is responsible for
+moving it.
 
 Nothing is kept between calls.  model_matrices enumerates the payoff matrix
-and transition tensor afresh each time it is called; value_iteration fetches
-them once and iterates on those arrays, and hands the final one-step
-lookahead to extract_policy with its result.
+and transition tensor afresh each time it is called; both solvers fetch them
+once and work on those arrays, and hand the final one-step lookahead to
+extract_policy with their result.
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ import numpy as np
 from .core import ModelSpec, StationaryPolicy
 
 _NEG_INF = -np.inf
+
+# A state switches action in policy iteration only when its Q-value improves
+# by more than this share of the value scale; below it, round-off in the
+# linear solve decides, and tied actions could swap back and forth forever.
+_SWITCH_RTOL = 1e-9
+
+# Policy iteration ends in a handful of steps on every built-in model; a
+# policy still improving after this many steps means the tables are broken.
+_MAX_IMPROVEMENT_STEPS = 500
 
 
 def model_matrices(model: ModelSpec, m):
@@ -43,9 +54,9 @@ def model_matrices(model: ModelSpec, m):
 class ValueTable:
     """Value function V(., m) together with the last backup's sup-norm change.
 
-    value_iteration also stores the one-step lookahead at the final values,
-    lookahead[x, a] = R[x, a] + beta * T[x, a] @ values, from which
-    extract_policy reads the greedy policy.
+    policy_iteration and value_iteration also store the one-step lookahead at
+    the final values, lookahead[x, a] = R[x, a] + beta * T[x, a] @ values,
+    from which extract_policy reads the greedy policy.
     """
 
     values: np.ndarray
@@ -112,8 +123,49 @@ def value_iteration(
     )
 
 
+def policy_iteration(model: ModelSpec, m, start: Optional[StationaryPolicy] = None) -> ValueTable:
+    """Howard policy iteration (Puterman 1994, section 6.4): the exact value
+    of an optimal policy at m.
+
+    Each step evaluates the current policy g exactly, V_g = (I - beta T_g)^-1
+    R_g, and moves every state whose lookahead under V_g beats its current
+    action by more than a round-off tolerance to its greedy action (lowest
+    index on ties).  It stops at the first step that moves no state; the
+    result's iterations counts the steps, that last one included.  start is
+    the first policy to evaluate (default: the lowest feasible action in each
+    state); every feasible start ends at the same greedy policy, so a start
+    close to the optimum only saves steps.  Raises RuntimeError if the policy
+    is still improving after a fixed number of steps.
+    """
+    R, T, mask = model_matrices(model, m)
+    beta = model.discount
+    n = model.n_states
+    states = np.arange(n)
+    if start is None:
+        actions = mask.argmax(axis=1)
+    else:
+        actions = np.array(start.actions, dtype=int)
+        if actions.shape != (n,) or not mask[states, actions].all():
+            raise ValueError("start must choose a feasible action in every state")
+    identity = np.eye(n)
+    for step in range(1, _MAX_IMPROVEMENT_STEPS + 1):
+        values = np.linalg.solve(identity - beta * T[states, actions], R[states, actions])
+        lookahead = _backup(R, T, beta, values)
+        greedy = lookahead.argmax(axis=1)
+        best = lookahead[states, greedy]
+        gain = best - lookahead[states, actions]
+        switch = gain > _SWITCH_RTOL * max(1.0, float(np.max(np.abs(values))))
+        if not switch.any():
+            return ValueTable(
+                values, m, sup_norm_residual=float(np.max(np.abs(best - values))),
+                iterations=step, converged=True, lookahead=lookahead,
+            )
+        actions = np.where(switch, greedy, actions)
+    raise RuntimeError(f"policy iteration still improving after {_MAX_IMPROVEMENT_STEPS} steps at m={m}")
+
+
 def extract_policy(model: ModelSpec, V: ValueTable) -> StationaryPolicy:
-    """Greedy policy from the lookahead value_iteration stored in V, ties
-    broken by lowest index."""
+    """Greedy policy from the lookahead stored in V (by policy_iteration or
+    value_iteration), ties broken by lowest index."""
     # np.argmax returns the first (= lowest-index) maximizer.
     return StationaryPolicy(V.lookahead.argmax(axis=1), V.m)

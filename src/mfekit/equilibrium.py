@@ -3,11 +3,13 @@
 The equilibrium residual f(m) = m - M(s^{m,g}) measures how far a candidate
 interaction value is from being self-consistent: solve the agent's problem at
 m, push the induced chain to its invariant distribution, and re-aggregate.
-Roots of f are mean field equilibria.  The adaptive solver brackets a root by
-bisection, which is what makes convergence possible without contraction or
-monotonicity structure; plain fixed-point iteration on the population state is
-kept as the (often divergent) baseline, and Broyden's method covers
-low-dimensional vector interactions.
+Roots of f are mean field equilibria.  The agent's problem is solved exactly
+by policy iteration (dp.policy_iteration), warm-started from the policy at a
+nearby m.  The adaptive solver brackets a root by bisection, which is what
+makes convergence possible without contraction or monotonicity structure;
+plain fixed-point iteration on the population state is kept as the (often
+divergent) baseline, and Broyden's method covers low-dimensional vector
+interactions.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ class SolverConfig:
 
     bracket_tol: float = 1e-6
     residual_tol: float = 1e-6
-    vfi_tol: float = 1e-4
-    vfi_max_iters: int = 1000
     max_outer: int = 60
     damping: float = 1.0
 
@@ -100,12 +100,16 @@ class ResidualEval:
     f_raw: float | np.ndarray = None   # residual against the unclamped aggregate
 
 
-def residual(model: ModelSpec, m, cfg: Optional[SolverConfig] = None) -> ResidualEval:
+def residual(model: ModelSpec, m, *, start: Optional[StationaryPolicy] = None) -> ResidualEval:
     """Evaluate f(m) = m - M(s^{m,g}) by the full model-based pipeline:
-    value iteration -> greedy policy -> induced chain -> exact invariant
-    distribution -> interaction value."""
-    cfg = cfg or SolverConfig()
-    V = dp.value_iteration(model, m, tol=cfg.vfi_tol, max_iters=cfg.vfi_max_iters)
+    policy iteration -> greedy policy -> induced chain -> exact invariant
+    distribution -> interaction value.
+
+    The inner solve is exact and reads no tolerance.  start warm-starts it
+    (see dp.policy_iteration): it changes how many steps the solve takes, not
+    its result.
+    """
+    V = dp.policy_iteration(model, m, start)
     g = dp.extract_policy(model, V)
     P = build_chain(model, g, m)
     s = stationary_distribution(P)
@@ -126,6 +130,9 @@ def _consistency_residual(model: ModelSpec, g: StationaryPolicy, s: PopulationSt
 def adaptive_vfi(model: ModelSpec, cfg: Optional[SolverConfig] = None) -> MfeSolution:
     """Bisection on the residual f over [lo, hi] with exact inner solves.
 
+    Each inner solve is warm-started from the policy at the nearest m already
+    evaluated.
+
     Endpoint signs are checked up front: a valid model has f(lo) <= 0 <= f(hi),
     so equal signs indicate a mis-configured interaction or bounds and raise
     BracketError immediately.  Stops when |f(m_t)| <= residual_tol or the
@@ -141,8 +148,12 @@ def adaptive_vfi(model: ModelSpec, cfg: Optional[SolverConfig] = None) -> MfeSol
     cache: dict[float, ResidualEval] = {}
 
     def f_eval(m: float) -> ResidualEval:
+        # Bisection neighbours differ in few states, so the nearest cached
+        # policy is a start close to the optimum.
         if m not in cache:
-            cache[m] = residual(model, m, cfg)
+            nearest = min(cache, key=lambda k: abs(k - m), default=None)
+            start = None if nearest is None else cache[nearest].policy
+            cache[m] = residual(model, m, start=start)
         return cache[m]
 
     # The pre-check looks at the raw (unclamped) aggregate: clamping would
@@ -219,7 +230,8 @@ def fixed_point_iteration(
     Non-convergence is a legitimate outcome (it is the baseline's known
     failure mode), so this never raises on oscillation: it returns the full
     trace with converged False.  For models whose interaction needs the
-    policy, the previous iteration's policy is used to aggregate.
+    policy, the previous iteration's policy is used to aggregate; it is also
+    the start of the next best response.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -241,7 +253,7 @@ def fixed_point_iteration(
     converged = False
     delta = np.inf
     for it in range(1, max_iters + 1):
-        V = dp.value_iteration(model, m, tol=cfg.vfi_tol, max_iters=cfg.vfi_max_iters)
+        V = dp.policy_iteration(model, m, start=g)
         g = dp.extract_policy(model, V)
         P = build_chain(model, g, m)
         s_next = (1.0 - damping) * s + damping * (s @ P.rows)
@@ -259,7 +271,7 @@ def fixed_point_iteration(
     # The iterate's m is computed from its own population, so |m - M(s, g)|
     # is ~0 by construction even mid-oscillation; the meaningful headline is
     # the true equilibrium residual at the final m.
-    true_f = residual(model, m, cfg).f if model.bounds.dim == 1 else delta
+    true_f = residual(model, m, start=g).f if model.bounds.dim == 1 else delta
     return MfeSolution(
         m_star=m,
         policy=g,
@@ -373,7 +385,7 @@ def broyden_solve(
     if not np.all((m0 >= lo) & (m0 <= hi)):
         raise ValueError("m0 must lie inside the interaction bounds")
 
-    evaluator = residual_eval or (lambda m: residual(model, m if model.bounds.dim > 1 else float(m[0]), cfg))
+    evaluator = residual_eval or (lambda m: residual(model, m if model.bounds.dim > 1 else float(m[0])))
     cache: dict[tuple, ResidualEval] = {}
 
     def f(m: np.ndarray) -> np.ndarray:
@@ -441,7 +453,7 @@ def solution_certificate(
     sol.policy.validate(model)
 
     if check_optimality:
-        V = dp.value_iteration(model, sol.m_star, tol=cfg.vfi_tol, max_iters=cfg.vfi_max_iters)
+        V = dp.policy_iteration(model, sol.m_star)
         g_ref = dp.extract_policy(model, V)
         mismatches = int(np.sum(g_ref.actions != sol.policy.actions))
         checks["optimality"] = (mismatches == 0, f"{mismatches} state(s) deviate from the greedy policy")

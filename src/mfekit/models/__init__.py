@@ -66,37 +66,37 @@ REGISTRY: dict[str, ModelEntry] = {
     "two-state-toy": ModelEntry(
         TwoStateToyParams,
         build_two_state_toy,
-        {"bracket_tol": 1e-10, "residual_tol": 1e-8, "vfi_tol": 1e-8},
+        {"bracket_tol": 1e-10, "residual_tol": 1e-8},
     ),
     "inventory": ModelEntry(
         InventoryParams,
         build_inventory_model,
-        {"bracket_tol": 1e-5, "residual_tol": 1e-3, "vfi_tol": 1e-4, "vfi_max_iters": 1000},
+        {"bracket_tol": 1e-5, "residual_tol": 1e-3},
     ),
     "capacity": ModelEntry(
         CapacityParams,
         build_capacity_model,
-        {"bracket_tol": 1.2e-3, "residual_tol": 1e-3, "vfi_tol": 1e-4, "vfi_max_iters": 1000},
+        {"bracket_tol": 1.2e-3, "residual_tol": 1e-3},
     ),
     "quality-ladder": ModelEntry(
         QualityLadderParams,
         build_quality_ladder_model,
-        {"bracket_tol": 1e-4, "residual_tol": 1e-3, "vfi_tol": 1e-6, "vfi_max_iters": 2000},
+        {"bracket_tol": 1e-4, "residual_tol": 1e-3},
     ),
     "ridesharing": ModelEntry(
         RidesharingParams,
         build_ridesharing_model,
-        {"bracket_tol": 1e-6, "residual_tol": 1e-4, "vfi_tol": 1e-8, "vfi_max_iters": 2000},
+        {"bracket_tol": 1e-6, "residual_tol": 1e-4},
     ),
     "social-learning": ModelEntry(
         SocialLearningParams,
         build_social_learning_model,
-        {"bracket_tol": 1e-6, "residual_tol": 1e-3, "vfi_tol": 1e-6, "vfi_max_iters": 2000},
+        {"bracket_tol": 1e-6, "residual_tol": 1e-3},
     ),
     "reputation": ModelEntry(
         ReputationParams,
         build_reputation_model,
-        {"bracket_tol": 1e-3, "residual_tol": 1e-3, "vfi_tol": 1e-4, "vfi_max_iters": 2000},
+        {"bracket_tol": 1e-3, "residual_tol": 1e-3},
     ),
 }
 

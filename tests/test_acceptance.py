@@ -51,7 +51,7 @@ def test_criterion_1_two_state_example():
         assert np.allclose(pops[t], pops[t + 2], atol=1e-12)       # exact period 2
         assert np.abs(pops[t + 1] - pops[t]).sum() > 1e-6           # never meets tol
 
-    cfg = SolverConfig(residual_tol=1e-8, bracket_tol=1e-10, vfi_tol=1e-8)
+    cfg = SolverConfig(residual_tol=1e-8, bracket_tol=1e-10)
     sol = adaptive_vfi(toy, cfg)
     assert abs(sol.m_star - 0.5) <= 1e-8
     assert sol.iterations <= 30

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mfekit import models
 from mfekit.chain import (
+    ErgodicityReport,
     NonErgodicChainError,
     TransitionMatrix,
     build_chain,
@@ -100,6 +106,82 @@ def test_ergodicity_block_diagonal_lists_components():
     assert not report.irreducible
     assert len(report.recurrent_classes) == 2
     assert sorted(map(sorted, report.recurrent_classes)) == [[0, 1], [2, 3]]
+
+
+def _report(recurrent, transient, period, n_components):
+    irreducible = n_components == 1
+    return ErgodicityReport(
+        ergodic=irreducible and period == 1,
+        irreducible=irreducible,
+        aperiodic=period == 1,
+        recurrent_classes=recurrent,
+        transient_states=transient,
+        period=period,
+    )
+
+
+# Each chain with its report worked out by hand: recurrent classes in the
+# order of their smallest state, the period the largest over those classes.
+HAND_CHECKED_CHAINS = {
+    "transient feeding one class": (
+        [[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]],
+        _report([[1, 2]], [0], 1, n_components=2),
+    ),
+    "period 2, four-cycle both ways": (
+        [[0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0]],
+        _report([[0, 1, 2, 3]], [], 2, n_components=1),
+    ),
+    "period 3, cyclic pairs": (
+        [[0.0, 0.0, 0.4, 0.6, 0.0, 0.0],
+         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 0.0, 0.2, 0.8],
+         [0.0, 0.0, 0.0, 0.0, 0.5, 0.5],
+         [0.3, 0.7, 0.0, 0.0, 0.0, 0.0],
+         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
+        _report([[0, 1, 2, 3, 4, 5]], [], 3, n_components=1),
+    ),
+    "period 3 only through a long cycle": (
+        # cycles 0-1-2-0 (length 3) and 0-1-2-3-4-5-0 (length 6)
+        [[0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+         [0.5, 0.0, 0.0, 0.5, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+         [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
+        _report([[0, 1, 2, 3, 4, 5]], [], 3, n_components=1),
+    ),
+    "absorbing state, transient state, periodic class": (
+        [[1.0, 0.0, 0.0, 0.0, 0.0],
+         [0.2, 0.3, 0.0, 0.5, 0.0],
+         [0.0, 0.0, 0.0, 1.0, 0.0],
+         [0.0, 0.0, 0.0, 0.0, 1.0],
+         [0.0, 0.0, 1.0, 0.0, 0.0]],
+        _report([[0], [2, 3, 4]], [1], 3, n_components=3),
+    ),
+    "two classes listed by smallest state, transients between": (
+        [[0.0, 0.0, 0.0, 0.3, 0.0, 0.7],
+         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+         [0.1, 0.0, 0.9, 0.0, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+         [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]],
+        _report([[1, 4], [3, 5]], [0, 2], 2, n_components=4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_CHECKED_CHAINS))
+def test_ergodicity_check_matches_hand_computed_report(name):
+    rows, expected = HAND_CHECKED_CHAINS[name]
+    assert ergodicity_check(TransitionMatrix(np.array(rows))) == expected
+
+
+def test_importing_mfekit_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, mfekit, mfekit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_unichain_with_transients_still_solves():

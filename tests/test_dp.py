@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
-from mfekit import dp
-from mfekit.core import ActionSpace, ModelSpec, ScalarBounds, StateSpace
+from mfekit import dp, models
+from mfekit.core import ActionSpace, ModelSpec, ScalarBounds, StateSpace, StationaryPolicy
 from mfekit.dp import (
     ValueTable,
     bellman_backup,
     extract_policy,
+    policy_iteration,
     value_iteration,
 )
-from mfekit.equilibrium import SolverConfig, residual
+from mfekit.equilibrium import residual
 from mfekit.learning import projected_policy_gradient
 
 
@@ -172,10 +173,68 @@ def test_one_evaluation_builds_its_tables_once(monkeypatch, capacity_model, inve
         return build(model, m)
 
     monkeypatch.setattr(dp, "model_matrices", counting)
-    ev = residual(capacity_model, 10.0, SolverConfig())
+    ev = residual(capacity_model, 10.0)
     assert ev.value_table.iterations > 1
     assert calls == [10.0]
 
     calls.clear()
     projected_policy_gradient(inventory_model, 0.3, steps=50, rate=0.05, seed=1, estimator="exact")
     assert calls == [0.3]
+
+
+def random_feasible_policy(model, m, rng):
+    return StationaryPolicy(
+        np.array([rng.choice(model.action_space.feasible_at(x)) for x in range(model.n_states)]), m
+    )
+
+
+def test_policy_iteration_matches_converged_value_iteration():
+    rng = np.random.default_rng(3)
+    for discount in (0.5, 0.9, 0.99):
+        for trial in range(10):
+            model = make_random_model(rng, n_states=7, n_actions=4, discount=discount)
+            V = policy_iteration(model, 0.5)
+            V_ref = value_iteration(model, 0.5, tol=1e-12, max_iters=100_000)
+            assert V.converged and V_ref.converged
+            assert np.array_equal(extract_policy(model, V).actions, extract_policy(model, V_ref).actions)
+            assert np.allclose(V.values, V_ref.values, atol=1e-9)
+            assert V.sup_norm_residual <= 1e-9
+
+
+def test_policy_iteration_result_does_not_depend_on_the_start(capacity_model):
+    rng = np.random.default_rng(4)
+    cases = [(make_random_model(rng, n_states=6, n_actions=5, discount=0.95), 0.5) for _ in range(5)]
+    cases += [(capacity_model, m) for m in (0.0, 6.8, 19.5)]
+    for model, m in cases:
+        cold = policy_iteration(model, m)
+        g = extract_policy(model, cold)
+        for _ in range(5):
+            warm = policy_iteration(model, m, start=random_feasible_policy(model, m, rng))
+            assert np.array_equal(extract_policy(model, warm).actions, g.actions)
+        # Started at its own answer, the iteration only confirms it.
+        assert policy_iteration(model, m, start=g).iterations == 1
+
+
+def test_policy_iteration_rejects_infeasible_start(inventory_model):
+    infeasible = np.flatnonzero(~inventory_model.action_space.mask(inventory_model.n_states)[-1])
+    actions = np.zeros(inventory_model.n_states, dtype=int)
+    actions[-1] = infeasible[0]
+    with pytest.raises(ValueError, match="feasible"):
+        policy_iteration(inventory_model, 0.5, start=StationaryPolicy(actions, 0.5))
+
+
+def test_policy_iteration_raises_when_its_step_bound_runs_out(monkeypatch, capacity_model):
+    assert policy_iteration(capacity_model, 10.0).iterations > 1
+    monkeypatch.setattr(dp, "_MAX_IMPROVEMENT_STEPS", 1)
+    with pytest.raises(RuntimeError, match="still improving"):
+        policy_iteration(capacity_model, 10.0)
+
+
+def test_capacity_high_discount_state_3_takes_the_exactly_better_action():
+    # At discount 0.995, m = 19.5, value iteration with tol 1e-4 stops at its
+    # 1,000-sweep budget and picks action 16 in state 3; action 17 is better
+    # by 0.0245 in exact Q, and value iteration at tol 1e-10 also picks 17.
+    model = models.build_model("capacity", {"discount": 0.995})
+    V = policy_iteration(model, 19.5)
+    assert extract_policy(model, V).actions[3] == 17
+    assert V.lookahead[3, 17] - V.lookahead[3, 16] == pytest.approx(0.0245, abs=1e-4)

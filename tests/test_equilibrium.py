@@ -35,7 +35,7 @@ def test_adaptive_vfi_toy(toy_model):
 
 
 def test_adaptive_vfi_traces_bracket_halving(toy_model):
-    cfg = SolverConfig(bracket_tol=1e-4, residual_tol=1e-15, vfi_tol=1e-8)
+    cfg = SolverConfig(bracket_tol=1e-4, residual_tol=1e-15)
     sol = adaptive_vfi(toy_model, cfg)
     mids = [e for e in sol.trace if e["kind"] == "midpoint"]
     widths = [e["hi"] - e["lo"] for e in mids]
@@ -72,7 +72,7 @@ def test_adaptive_vfi_requires_scalar_interaction(toy_model):
 
 def test_residual_small_at_reference_capacity_equilibrium(capacity_model):
     # |f| evaluated at the reference equilibrium value itself
-    ev = residual(capacity_model, 6.798, SolverConfig(**models.solver_defaults("capacity")))
+    ev = residual(capacity_model, 6.798)
     assert abs(ev.f) <= 1e-3
 
 
