@@ -19,7 +19,7 @@ class ChainError(Exception):
 
 
 class NonErgodicChainError(ChainError):
-    """No unique invariant distribution (or strict ergodicity was required)."""
+    """No unique invariant distribution."""
 
     def __init__(self, message: str, report: "ErgodicityReport"):
         super().__init__(message)
@@ -192,26 +192,19 @@ def ergodicity_check(P: TransitionMatrix) -> ErgodicityReport:
     )
 
 
-def stationary_distribution(
-    P: TransitionMatrix,
-    require_ergodic: bool = False,
-) -> PopulationState:
+def stationary_distribution(P: TransitionMatrix) -> PopulationState:
     """Exact invariant distribution s with s = s^T P.
 
     Solves the dense linear system (P^T - I) s = 0 with one row replaced by
     the normalization constraint.  A unique invariant distribution exists as
     long as the chain has a single recurrent class; chains with several
-    recurrent classes raise NonErgodicChainError naming the components.  Pass
-    require_ergodic=True to insist on full ergodicity (irreducible and
-    aperiodic) as well.
+    recurrent classes raise NonErgodicChainError naming the components.
     """
     report = ergodicity_check(P)
     if len(report.recurrent_classes) != 1:
         raise NonErgodicChainError(
             f"no unique invariant distribution: {report.describe()}", report
         )
-    if require_ergodic and not report.ergodic:
-        raise NonErgodicChainError(f"chain is not ergodic: {report.describe()}", report)
 
     n = P.n
     A = P.rows.T - np.eye(n)
@@ -247,13 +240,12 @@ def monte_carlo_stationary(
     K: int,
     seed: int,
     x0: int = 0,
-    burn_in: int = 0,
 ) -> PopulationState:
     """Empirical state frequencies of the trajectory x_0 .. x_K under g.
 
-    Uses only the model's transition_sample (one draw per step), so it works
-    against the restricted model-free view.  Deterministic given the seed.
-    No burn-in by default: the average starts at x_0.
+    Uses only the model's population_sample_fn (one draw per step), so it
+    works against the restricted model-free view.  Deterministic given the seed.
+    There is no burn-in: the average starts at x_0.
 
     The loop reads the policy from a list and counts visits in Python ints:
     numpy scalar indexing per step would cost more than the draw itself.
@@ -262,19 +254,15 @@ def monte_carlo_stationary(
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    if not 0 <= burn_in <= K:
-        raise ValueError("burn_in must lie in [0, K]")
     rng = np.random.default_rng(seed)
     sample = model.population_sample_fn
     actions = g.actions.tolist()
     counts = [0] * model.n_states
     x = int(x0)
-    if burn_in == 0:
-        counts[x] += 1
-    for k in range(1, K + 1):
+    counts[x] += 1
+    for _ in range(K):
         x = int(sample(x, actions[x], m, rng))
-        if k >= burn_in:
-            counts[x] += 1
+        counts[x] += 1
     counts = np.array(counts, dtype=float)
     return PopulationState(counts / counts.sum())
 

@@ -73,19 +73,23 @@ def _assemble_config(args) -> dict:
     return config
 
 
-def _model_from_config(config: dict):
+def _build_model(config: dict):
     name = config["model"].get("name")
     if not name:
         raise ConfigError("no model selected: pass --model or set model.name in the config")
     try:
-        model = model_registry.build_model(name, config["model"].get("params") or {})
+        return model_registry.build_model(name, config["model"].get("params") or {})
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid parameters for model {name!r}: {exc}") from exc
+
+
+def _model_from_config(config: dict):
+    model = _build_model(config)
     violations = validate_model(model)
     if violations:
-        raise ConfigError(f"model {name!r} failed validation: {violations[:5]}")
+        raise ConfigError(f"model {model.name!r} failed validation: {violations[:5]}")
     return model
 
 
@@ -100,6 +104,17 @@ def _solver_config(config: dict, model_name: str) -> SolverConfig:
         raise ConfigError(f"invalid solver config: {exc}") from exc
 
 
+def _check_learning(config: dict) -> None:
+    learning = config.get("learning") or {}
+    unknown = set(learning) - set(LearningConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown learning key(s): {sorted(unknown)}")
+    try:
+        LearningConfig(**learning)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid learning config: {exc}") from exc
+
+
 def cmd_solve(args) -> int:
     config = _assemble_config(args)
     model = _model_from_config(config)
@@ -107,9 +122,7 @@ def cmd_solve(args) -> int:
     algorithm = args.algorithm
     learning = config.get("learning") or {}
     if algorithm in LEARNERS:
-        unknown = set(learning) - set(LearningConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown learning key(s): {sorted(unknown)}")
+        _check_learning(config)
 
     t0 = time.perf_counter()
     sol = run_algorithm(model, algorithm, scfg, learning, seed=args.seed)
@@ -145,15 +158,19 @@ def cmd_sweep(args) -> int:
     sweep_cfg = config.get("sweep") or {}
     if not sweep_cfg.get("parameters"):
         raise ConfigError("sweep config needs sweep.parameters: [[name, [values...]], ...]")
-    model_name = config["model"].get("name")
-    if not model_name:
-        raise ConfigError("no model selected: pass --model or set model.name in the config")
+    # Every cell shares these settings; a bad one would fail each cell the
+    # same way, so it is a config error before any cell runs.
+    model_name = _build_model(config).name
+    _solver_config(config, model_name)
+    algorithm = sweep_cfg.get("algorithm", "vfi")
+    if algorithm in LEARNERS:
+        _check_learning(config)
 
     parameters = [(str(name), list(values)) for name, values in sweep_cfg["parameters"]]
     grid = SweepGrid(
         model=model_name,
         parameters=parameters,
-        algorithm=sweep_cfg.get("algorithm", "vfi"),
+        algorithm=algorithm,
         base_params=config["model"].get("params") or {},
         solver=config.get("solver") or {},
         learning=config.get("learning") or {},
@@ -231,28 +248,8 @@ def cmd_verify(args) -> int:
         print("state-space mismatch between solution and model config", file=sys.stderr)
         return EXIT_ERROR
 
-    scfg = _solver_config(config, model.name)
-    exact = sol.algorithm in ("adaptive_vfi", "broyden", "fixed_point")
-
-    report = solution_certificate(
-        model,
-        sol,
-        consistency_tol=1e-10 if exact else float("inf"),
-        check_optimality=exact,
-        cfg=scfg,
-    )
-    for name, (passed, detail) in report.checks.items():
-        if name == "consistency" and not exact:
-            # Monte Carlo populations cannot be exactly invariant; integrity
-            # is checked against the recorded value instead.
-            from .equilibrium import _consistency_residual
-
-            recomputed = _consistency_residual(model, sol.policy, sol.population, sol.m_star)
-            drift = abs(recomputed - sol.consistency_residual)
-            ok = drift <= 1e-9 + 1e-6 * max(1.0, abs(sol.consistency_residual))
-            checks.append(("consistency(stored)", ok, f"recomputed {recomputed:.3e} vs stored {sol.consistency_residual:.3e}"))
-        else:
-            checks.append((name, passed, detail))
+    report = solution_certificate(model, sol, cfg=_solver_config(config, model.name))
+    checks += [(name, passed, detail) for name, (passed, detail) in report.checks.items()]
 
     all_ok = all(ok for _, ok, _ in checks)
     for name, ok, detail in checks:

@@ -230,12 +230,13 @@ class ModelSpec:
     when present, returns one draw of (realized reward, next state) and is
     the only reward channel model-free learners may use.
 
-    population_row/population_sample describe the law governing the
-    population's slots when it differs from the individual's: in regenerative
-    markets (reputation) a departing agent's slot restarts fresh, and that
-    churn shapes the invariant distribution even though the individual
-    problem absorbs it into the discount factor.  They default to the
-    individual kernel.
+    regeneration = (survival, entry_state), when set, makes the population's
+    law differ from the individual's: in regenerative markets (reputation) an
+    agent survives each period with probability survival and its slot
+    otherwise restarts at entry_state.  That churn shapes the invariant
+    distribution even though the individual problem absorbs it into the
+    discount factor.  population_row_fn and population_sample_fn derive both
+    population kernels from it; without it they are the individual kernel.
     """
 
     name: str
@@ -248,8 +249,7 @@ class ModelSpec:
     interaction: Callable[[np.ndarray, Optional[np.ndarray], object], object]
     bounds: ScalarBounds
     payoff_sample: Optional[Callable] = None
-    population_row: Optional[Callable] = None
-    population_sample: Optional[Callable] = None
+    regeneration: Optional[tuple[float, int]] = None
     params: object = None
 
     def __post_init__(self):
@@ -257,8 +257,12 @@ class ModelSpec:
             raise ValueError("discount must lie in (0, 1)")
         if len(self.action_space.feasible) != self.state_space.n:
             raise ValueError("feasible correspondence length != number of states")
-        if (self.population_row is None) != (self.population_sample is None):
-            raise ValueError("population_row and population_sample must be given together")
+        if self.regeneration is not None:
+            survival, entry_state = self.regeneration
+            if not 0.0 < survival < 1.0:
+                raise ValueError("regeneration survival must lie in (0, 1)")
+            if not 0 <= entry_state < self.state_space.n:
+                raise ValueError(f"regeneration entry state {entry_state} out of range")
 
     @property
     def n_states(self) -> int:
@@ -270,15 +274,31 @@ class ModelSpec:
 
     @property
     def population_row_fn(self) -> Callable:
-        return self.population_row if self.population_row is not None else self.transition_row
+        if self.regeneration is None:
+            return self.transition_row
+        survival, entry_state = self.regeneration
+        transition_row = self.transition_row
+
+        def population_row(x, a, m):
+            row = survival * transition_row(x, a, m)
+            row[entry_state] += 1.0 - survival
+            return row
+
+        return population_row
 
     @property
     def population_sample_fn(self) -> Callable:
-        return (
-            self.population_sample
-            if self.population_sample is not None
-            else self.transition_sample
-        )
+        if self.regeneration is None:
+            return self.transition_sample
+        survival, entry_state = self.regeneration
+        transition_sample = self.transition_sample
+
+        def population_sample(x, a, m, rng):
+            if rng.random() >= survival:
+                return entry_state
+            return transition_sample(x, a, m, rng)
+
+        return population_sample
 
 
 class SampleView:
@@ -398,8 +418,8 @@ def validate_model(model: ModelSpec) -> list[str]:
                 report.append(f"state {x}: feasible action index {a} out of range")
 
     kernels = [("transition_row", model.transition_row)]
-    if model.population_row is not None:
-        kernels.append(("population_row", model.population_row))
+    if model.regeneration is not None:
+        kernels.append(("population_row", model.population_row_fn))
 
     for m in _m_grid(model.bounds):
         for x in range(n):

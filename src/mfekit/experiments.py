@@ -147,9 +147,7 @@ def run_algorithm(
         # Start from the minimal state's point mass (the same default
         # origin the samplers use); the uniform start is an equilibrium for
         # some models, which would make the baseline look spuriously good.
-        return fixed_point_iteration(
-            model, PopulationState.point_mass(model.n_states, 0), damping=scfg.damping, cfg=scfg
-        )
+        return fixed_point_iteration(model, PopulationState.point_mass(model.n_states, 0), cfg=scfg)
     if algorithm in LEARNERS:
         lcfg = LearningConfig(**{**(learning_overrides or {}), "seed": seed})
         runner = adaptive_q_learning if algorithm == "qlearn" else adaptive_policy_gradient
@@ -262,12 +260,13 @@ def heatmap_matrix_csv(result: SweepResult) -> str:
     return buf.getvalue()
 
 
-def heatmap_svg(result: SweepResult, metric: str = "revenue", cell_px: int = 86) -> str:
-    """Self-contained SVG grid: monotone two-color ramp, numeric cell labels."""
+def heatmap_svg(result: SweepResult) -> str:
+    """Self-contained SVG grid of the revenue column: monotone two-color ramp,
+    numeric cell labels."""
     (row_name, row_vals), (col_name, col_vals) = result.grid.parameters
     by_index = {c.index: c for c in result.cells}
     values = np.array(
-        [[getattr(by_index[(i, j)], metric) for j in range(len(col_vals))]
+        [[by_index[(i, j)].revenue for j in range(len(col_vals))]
          for i in range(len(row_vals))],
         dtype=float,
     )
@@ -280,19 +279,20 @@ def heatmap_svg(result: SweepResult, metric: str = "revenue", cell_px: int = 86)
         if not np.isfinite(v):
             return "#cccccc"
         t = (v - vmin) / span
-        # dark blue -> light yellow, monotone in the metric
+        # dark blue -> light yellow, monotone in revenue
         r = int(30 + t * (253 - 30))
         g = int(60 + t * (231 - 60))
         b = int(110 + t * (37 - 110))
         return f"#{r:02x}{g:02x}{b:02x}"
 
     margin = 70
+    cell_px = 86
     width = margin + cell_px * len(col_vals) + 20
     height = margin + cell_px * len(row_vals) + 20
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="12">',
-        f'<text x="{margin}" y="20">{metric} by {row_name} (rows) x {col_name} (cols)</text>',
+        f'<text x="{margin}" y="20">revenue by {row_name} (rows) x {col_name} (cols)</text>',
     ]
     for j, cv in enumerate(col_vals):
         parts.append(

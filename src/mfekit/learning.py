@@ -16,7 +16,7 @@ transition law (a sampled estimator is available when that is off limits).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -51,8 +51,7 @@ class LearningConfig:
     rate_c: float = 1.0
     rate_exponent: float = 0.7
     epsilon0: float = 0.9
-    epsilon_min: float = 0.05
-    decay_episodes: Optional[int] = None   # default: the full episode budget
+    epsilon_min: float = 0.05             # reached after the full episode budget
     episode_length: int = 100
     replay_capacity: int = 500
     minibatch: int = 16
@@ -77,6 +76,8 @@ class LearningConfig:
             raise ValueError(f"unknown rate_mode {self.rate_mode!r}")
         if not 0.0 <= self.tail_average < 1.0:
             raise ValueError("tail_average must lie in [0, 1)")
+        if self.pg_estimator not in ("exact", "sampled"):
+            raise ValueError(f"unknown pg_estimator {self.pg_estimator!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -162,9 +163,8 @@ def q_learning(model, m: float, cfg: LearningConfig) -> QTable:
 
     H = cfg.updates
     episodes_total = max(1, -(-H // cfg.episode_length))
-    decay_over = cfg.decay_episodes or episodes_total
     if cfg.epsilon0 > 0 and cfg.epsilon_min > 0:
-        decay = (cfg.epsilon_min / cfg.epsilon0) ** (1.0 / decay_over)
+        decay = (cfg.epsilon_min / cfg.epsilon0) ** (1.0 / episodes_total)
     else:
         decay = 1.0
 
@@ -342,36 +342,23 @@ def _sampled_value_and_gradient(view: SampleView, sigma: np.ndarray, m: float,
     return value_sum / cfg.pg_rollouts, grad
 
 
-def projected_policy_gradient(
-    model,
-    m: float,
-    steps: Optional[int] = None,
-    rate: Optional[float] = None,
-    seed: int = 0,
-    cfg: Optional[LearningConfig] = None,
-    estimator: Optional[str] = None,
-) -> DirectPolicy:
+def projected_policy_gradient(model, m: float, cfg: LearningConfig) -> DirectPolicy:
     """Projected gradient ascent on the direct policy parameterization.
 
-    Each step moves sigma along the policy gradient and projects every
-    state's row back onto the simplex over its feasible actions.  The exact
-    estimator differentiates through the model's tables at m, built once per
-    call; the sampled estimator only touches the simulator.  Deterministic
-    given the seed.
+    Each of cfg.pg_steps steps moves sigma along the policy gradient, scaled
+    by cfg.pg_rate, and projects every state's row back onto the simplex over
+    its feasible actions.  The exact estimator differentiates through the
+    model's tables at m, built once per call; the sampled estimator only
+    touches the simulator.  Deterministic given cfg.seed.
     """
-    cfg = cfg or LearningConfig()
-    steps = cfg.pg_steps if steps is None else steps
-    rate = cfg.pg_rate if rate is None else rate
-    estimator = estimator or cfg.pg_estimator
-    rng = np.random.default_rng(seed)
+    exact = cfg.pg_estimator == "exact"
+    rng = np.random.default_rng(cfg.seed)
 
-    if estimator == "sampled":
-        view = as_sample_view(model)
-        mask = view.action_space.mask(view.n_states)
-    elif estimator == "exact":
+    if exact:
         R, T, mask = dp.model_matrices(model, m)
     else:
-        raise ValueError(f"unknown estimator {estimator!r}")
+        view = as_sample_view(model)
+        mask = view.action_space.mask(view.n_states)
     n = mask.shape[0]
     feas_idx = [np.where(mask[x])[0] for x in range(n)]
 
@@ -379,16 +366,16 @@ def projected_policy_gradient(
     sigma /= sigma.sum(axis=1, keepdims=True)
 
     value = None
-    for _ in range(steps):
-        if estimator == "exact":
+    for _ in range(cfg.pg_steps):
+        if exact:
             value, grad = _policy_value_and_gradient(R, T, mask, model.discount, sigma)
         else:
             value, grad = _sampled_value_and_gradient(view, sigma, m, cfg, rng)
-        updated = sigma + rate * grad
+        updated = sigma + cfg.pg_rate * grad
         sigma = np.zeros_like(sigma)
         for x in range(n):
             sigma[x, feas_idx[x]] = simplex_projection(updated[x, feas_idx[x]])
-    if estimator == "exact":
+    if exact:
         value, _ = _policy_value_and_gradient(R, T, mask, model.discount, sigma)
     return DirectPolicy(probs=sigma, m=float(m), feasible=mask, value=value)
 
@@ -479,8 +466,7 @@ def adaptive_q_learning(model, scfg: SolverConfig, lcfg: LearningConfig) -> MfeS
     view = as_sample_view(model)
 
     def inner(m_t: float, outer: int) -> StationaryPolicy:
-        cfg_t = LearningConfig(**{**lcfg.to_dict(), "seed": _spawned_seed(lcfg.seed, outer, 0)})
-        q = q_learning(view, m_t, cfg_t)
+        q = q_learning(view, m_t, replace(lcfg, seed=_spawned_seed(lcfg.seed, outer, 0)))
         return greedy_policy(q)
 
     return _adaptive_sampled_bisection(model, scfg, lcfg, inner, "adaptive_q_learning")
@@ -495,9 +481,7 @@ def adaptive_policy_gradient(model, scfg: SolverConfig, lcfg: LearningConfig) ->
     """
 
     def inner(m_t: float, outer: int) -> StationaryPolicy:
-        sigma = projected_policy_gradient(
-            model, m_t, seed=_spawned_seed(lcfg.seed, outer, 0), cfg=lcfg
-        )
+        sigma = projected_policy_gradient(model, m_t, replace(lcfg, seed=_spawned_seed(lcfg.seed, outer, 0)))
         return sigma.mode()
 
     return _adaptive_sampled_bisection(model, scfg, lcfg, inner, "adaptive_policy_gradient")

@@ -13,7 +13,7 @@ absorbs departure into the discount factor, but the population dynamics must
 carry the regeneration explicitly: without it, every rank at the review cap
 is frozen (a review weighted by 1/21 can never move the gridded average) and
 the chain would have one absorbing state per rank instead of a unique
-invariant distribution.  Hence the separate population kernel below.
+invariant distribution.  Hence the regeneration declared on the ModelSpec.
 """
 
 from __future__ import annotations
@@ -84,19 +84,6 @@ def build_reputation_model(params: ReputationParams | None = None) -> ModelSpec:
     def payoff_sample(x, a, m, rng):
         return payoff(x, a, m), transition_sample(x, a, m, rng)
 
-    entry_state = states.encode((ranks[0], 0))
-    survive = p.discount
-
-    def population_row(x, a, m):
-        row = survive * transition_row(x, a, m)
-        row[entry_state] += 1.0 - survive
-        return row
-
-    def population_sample(x, a, m, rng):
-        if rng.random() >= survive:
-            return entry_state
-        return transition_sample(x, a, m, rng)
-
     def interaction(probs, action_idx, m):
         return float(weights @ probs)   # market-wide visibility aggregate
 
@@ -112,7 +99,6 @@ def build_reputation_model(params: ReputationParams | None = None) -> ModelSpec:
         interaction=interaction,
         bounds=bounds,
         payoff_sample=payoff_sample,
-        population_row=population_row,
-        population_sample=population_sample,
+        regeneration=(p.discount, states.encode((ranks[0], 0))),
         params=p,
     )

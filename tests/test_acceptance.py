@@ -31,7 +31,7 @@ def report(criterion: str, detail: str):
 
 def certified(model, sol, cfg):
     """Solution certificate on a freshly returned exact solution."""
-    report_cert = solution_certificate(model, sol, consistency_tol=1e-10, cfg=cfg)
+    report_cert = solution_certificate(model, sol, cfg=cfg)
     assert report_cert.ok, report_cert.checks
     return sol
 
@@ -43,7 +43,7 @@ def test_criterion_1_two_state_example():
     toy = models.build_two_state_toy()
 
     fp = fixed_point_iteration(
-        toy, PopulationState(np.array([0.3, 0.7])), damping=1.0, max_iters=1000, tol=1e-6
+        toy, PopulationState(np.array([0.3, 0.7])), max_iters=1000, tol=1e-6
     )
     assert not fp.converged
     pops = fp.extras["population_trace"]
@@ -155,6 +155,7 @@ def test_criterion_5_platform_revenue_heatmap():
 
 # -- criterion 6 ---------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_model_free_equivalence_inventory():
     inv = models.build_inventory_model()
     vfi = adaptive_vfi(inv, SolverConfig(**models.solver_defaults("inventory")))
@@ -185,6 +186,7 @@ def test_criterion_6_model_free_equivalence_inventory():
 
 # -- criterion 7 ---------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_social_learning():
     paper_variance = {5.0: 0.0393, 15.0: 0.021}
     scfg = SolverConfig(residual_tol=1e-3, max_outer=20)
@@ -265,7 +267,7 @@ def test_criterion_10_property_suite():
         model = models.build_model(name, {})
         cfg = SolverConfig(**models.solver_defaults(name))
         sol = adaptive_vfi(model, cfg)
-        rep = solution_certificate(model, sol, consistency_tol=1e-10, cfg=cfg)
+        rep = solution_certificate(model, sol, cfg=cfg)
         assert rep.ok, (name, rep.checks)
         assert sol.residual <= cfg.residual_tol, (name, sol.residual)
     details.append("certificates: 7 models")

@@ -192,8 +192,6 @@ def test_unichain_with_transients_still_solves():
     assert report.transient_states == [0]
     s = stationary_distribution(P)
     assert s.probs[0] == 0.0
-    with pytest.raises(NonErgodicChainError):
-        stationary_distribution(P, require_ergodic=True)
 
 
 def test_capacity_chain_ergodic_across_policies(capacity_model):

@@ -59,6 +59,20 @@ def test_solve_unknown_param_exits_one_names_key(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "algorithm, override",
+    [("qlearn", "learning.rate_mode=bogus"), ("pgrad", "learning.pg_estimator=bogus")],
+)
+def test_solve_invalid_learning_value_exits_one(tmp_path, capsys, algorithm, override):
+    code = run_cli(
+        "solve", "--model", "two-state-toy", "--algorithm", algorithm,
+        "--set", override, "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "bogus" in err
+
+
 def test_verify_round_trip(tmp_path):
     out = tmp_path / "run"
     assert run_cli("solve", "--model", "two-state-toy", "--out", str(out)) == 0
@@ -161,6 +175,26 @@ def test_sweep_from_config(tmp_path):
     assert len(lines) == 3
     m45 = float(lines[1].split(",")[1])
     assert m45 == pytest.approx(6.798, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "section, key", [("solver", "resdual_tol"), ("model", "warp_factor")]
+)
+def test_sweep_config_typo_exits_one_before_any_cell(tmp_path, capsys, section, key):
+    cfg = {
+        "model": {"name": "capacity", "params": {}},
+        "solver": {},
+        "sweep": {"parameters": [["alpha", [45.0, 55.0]]]},
+    }
+    target = cfg["model"]["params"] if section == "model" else cfg["solver"]
+    target[key] = 1e-3
+    cfg_path = tmp_path / "sweep.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", str(cfg_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_workers_bytes_identical(tmp_path):

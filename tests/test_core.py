@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -188,16 +189,27 @@ def test_transition_rows_stochastic_on_five_point_grid(all_models):
 
 
 def test_sampling_matches_enumerated_law(all_models):
-    # 50k draws at a fixed (x, a, m): total variation <= 0.02.
+    # 50k draws at a fixed (x, a, m): total variation <= 0.02, for the
+    # individual and for the population kernel.
     draws = 50_000
     for name, model in all_models.items():
-        rng = np.random.default_rng(11)
         x = model.n_states // 2
         a = model.action_space.feasible_at(x)[-1]
         m = model.bounds.midpoint()
-        row = model.transition_row(x, a, m)
-        counts = np.zeros(model.n_states)
-        for _ in range(draws):
-            counts[model.transition_sample(x, a, m, rng)] += 1
-        tv = 0.5 * np.abs(counts / draws - row).sum()
-        assert tv <= 0.02, (name, tv)
+        for kernel, row_fn, sample_fn in (
+            ("transition", model.transition_row, model.transition_sample),
+            ("population", model.population_row_fn, model.population_sample_fn),
+        ):
+            rng = np.random.default_rng(11)
+            row = row_fn(x, a, m)
+            counts = np.zeros(model.n_states)
+            for _ in range(draws):
+                counts[sample_fn(x, a, m, rng)] += 1
+            tv = 0.5 * np.abs(counts / draws - row).sum()
+            assert tv <= 0.02, (name, kernel, tv)
+
+
+@pytest.mark.parametrize("regeneration", [(0.0, 0), (1.0, 0), (-0.5, 1), (0.9, 2), (0.9, -1)])
+def test_model_spec_rejects_invalid_regeneration(toy_model, regeneration):
+    with pytest.raises(ValueError, match="regeneration"):
+        dataclasses.replace(toy_model, regeneration=regeneration)

@@ -12,7 +12,7 @@ from mfekit.dp import (
     value_iteration,
 )
 from mfekit.equilibrium import residual
-from mfekit.learning import projected_policy_gradient
+from mfekit.learning import LearningConfig, projected_policy_gradient
 
 
 def single_state_model(payoff=1.0, discount=0.5):
@@ -178,7 +178,7 @@ def test_one_evaluation_builds_its_tables_once(monkeypatch, capacity_model, inve
     assert calls == [10.0]
 
     calls.clear()
-    projected_policy_gradient(inventory_model, 0.3, steps=50, rate=0.05, seed=1, estimator="exact")
+    projected_policy_gradient(inventory_model, 0.3, LearningConfig(pg_steps=50, pg_rate=0.05, seed=1))
     assert calls == [0.3]
 
 

@@ -86,8 +86,7 @@ def test_adaptive_vfi_deterministic_traces(capacity_model):
 
 def test_fixed_point_oscillates_on_toy(toy_model):
     sol = fixed_point_iteration(
-        toy_model, PopulationState(np.array([0.3, 0.7])), damping=1.0,
-        max_iters=1000, tol=1e-6,
+        toy_model, PopulationState(np.array([0.3, 0.7])), max_iters=1000, tol=1e-6,
     )
     assert not sol.converged
     pops = sol.extras["population_trace"]
@@ -101,8 +100,7 @@ def test_fixed_point_oscillates_on_toy(toy_model):
 
 def test_fixed_point_converges_from_equilibrium(toy_model):
     sol = fixed_point_iteration(
-        toy_model, PopulationState(np.array([0.5, 0.5])), damping=1.0,
-        max_iters=50, tol=1e-10,
+        toy_model, PopulationState(np.array([0.5, 0.5])), max_iters=50, tol=1e-10,
     )
     assert sol.converged
     assert sol.iterations == 1
@@ -112,7 +110,7 @@ def test_fixed_point_converges_from_equilibrium(toy_model):
 def test_fixed_point_converges_from_mfe_population(capacity_model):
     cfg = SolverConfig(**models.solver_defaults("capacity"))
     ref = adaptive_vfi(capacity_model, cfg)
-    sol = fixed_point_iteration(capacity_model, ref.population, damping=1.0, max_iters=5, tol=1e-6, cfg=cfg)
+    sol = fixed_point_iteration(capacity_model, ref.population, max_iters=5, tol=1e-6, cfg=cfg)
     assert sol.converged
     assert sol.iterations <= 2
 

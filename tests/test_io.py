@@ -46,7 +46,7 @@ def test_qtable_csv(inventory_model):
 
 
 def test_direct_policy_csv(toy_model):
-    pol = projected_policy_gradient(toy_model, 0.5, steps=2, rate=0.1, seed=0)
+    pol = projected_policy_gradient(toy_model, 0.5, LearningConfig(pg_steps=2, pg_rate=0.1))
     lines = runio.direct_policy_to_csv(toy_model, pol).splitlines()
     assert lines[0] == "state_label,action_value,prob"
     assert lines[1] == "1,0,1"

@@ -144,6 +144,7 @@ def test_q_learning_matches_dp_oracle_small_model():
     assert err <= 0.05, err
 
 
+@pytest.mark.slow
 def test_q_learning_recovers_dp_policy_on_inventory():
     # The DP solver is the oracle; the learned greedy policy must agree on
     # at least 95% of states, with any mismatch confined to near-ties in the
@@ -217,7 +218,7 @@ def test_simplex_projection_is_nearest_point():
 
 def test_pg_bandit_concentrates_on_best_action():
     model = make_simple_model([[0.0, 1.0]], [[[1.0], [1.0]]], discount=1e-9)
-    pol = projected_policy_gradient(model, 0.5, steps=400, rate=0.2, seed=0)
+    pol = projected_policy_gradient(model, 0.5, LearningConfig(pg_steps=400, pg_rate=0.2))
     assert pol.probs[0, 1] >= 1.0 - 1e-3
 
 
@@ -226,19 +227,19 @@ def test_pg_single_action_model_reproduces_vfi_value(toy_model):
 
     # one action everywhere: no optimization, value must equal the DP value
     model = make_simple_model([[0.3], [0.7]], [[[0.5, 0.5]], [[0.2, 0.8]]], discount=0.9)
-    pol = projected_policy_gradient(model, 0.5, steps=5, rate=0.1, seed=0)
+    pol = projected_policy_gradient(model, 0.5, LearningConfig(pg_steps=5, pg_rate=0.1))
     assert np.allclose(pol.probs, [[1.0], [1.0]])
     V = value_iteration(model, 0.5, tol=1e-12, max_iters=50_000)
     assert pol.value == pytest.approx(float(V.values.mean()), abs=1e-6)
 
 
 def test_pg_zero_payoff_gradient_keeps_policy(toy_model):
-    pol = projected_policy_gradient(toy_model, 0.5, steps=10, rate=0.5, seed=0)
+    pol = projected_policy_gradient(toy_model, 0.5, LearningConfig(pg_steps=10, pg_rate=0.5))
     assert np.allclose(pol.probs[:, 0], 1.0)
 
 
 def test_pg_respects_feasibility(inventory_model):
-    pol = projected_policy_gradient(inventory_model, 0.3, steps=30, rate=0.05, seed=1)
+    pol = projected_policy_gradient(inventory_model, 0.3, LearningConfig(pg_steps=30, pg_rate=0.05, seed=1))
     pol.validate()
     mode = pol.mode()
     mode.validate(inventory_model)
@@ -251,15 +252,15 @@ def test_pg_sampled_estimator_runs_model_free(toy_model):
         raise AssertionError("model-free boundary violated")
 
     trip = dataclasses.replace(toy_model, payoff=forbidden, transition_row=forbidden)
-    cfg = LearningConfig(pg_rollouts=16, pg_horizon=20)
-    pol = projected_policy_gradient(trip, 0.4, steps=3, rate=0.1, seed=0, cfg=cfg, estimator="sampled")
+    cfg = LearningConfig(pg_rollouts=16, pg_horizon=20, pg_steps=3, pg_rate=0.1, pg_estimator="sampled")
+    pol = projected_policy_gradient(trip, 0.4, cfg)
     pol.validate()
 
 
 def test_pg_finds_optimal_policy_on_random_mdp():
     rng = np.random.default_rng(11)
     model = make_random_model(rng, n_states=4, n_actions=3, discount=0.8)
-    pol = projected_policy_gradient(model, 0.5, steps=800, rate=0.3, seed=0)
+    pol = projected_policy_gradient(model, 0.5, LearningConfig(pg_steps=800, pg_rate=0.3))
     V = value_iteration(model, 0.5, tol=1e-12, max_iters=100_000)
     g_star = extract_policy(model, V)
     assert np.array_equal(pol.mode().actions, g_star.actions)

@@ -267,7 +267,7 @@ def test_reputation_population_kernel_regenerates():
     rp = models.build_reputation_model()
     ss = rp.state_space
     x = ss.encode((2.5, 20))
-    row = rp.population_row(x, 0, 10.0)
+    row = rp.population_row_fn(x, 0, 10.0)
     assert row[ss.encode((0.0, 0))] == pytest.approx(1 - rp.discount)
     assert row.sum() == pytest.approx(1.0, abs=1e-15)
     # the regenerated chain has a unique invariant distribution
