@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -51,19 +52,18 @@ def _parse_set(values: list[str]) -> list[tuple[str, object]]:
     return out
 
 
-def _assemble_config(args) -> dict:
-    """Merge config file, --model shortcut, and --set overrides."""
+def _assemble_config(args, base: Optional[dict] = None) -> dict:
+    """Merge a base config (by default the --config file), the --model
+    shortcut and --set overrides."""
     config: dict = {"model": {"name": None, "params": {}}, "solver": {}, "learning": {}, "sweep": {}}
-    if args.config:
-        loaded = runio.load_config(args.config)
-        for key in loaded:
-            if key not in config:
-                raise ConfigError(f"unknown config section {key!r}")
-        for key, value in loaded.items():
-            if isinstance(value, dict):
-                config[key].update(value)
-            else:
-                raise ConfigError(f"config section {key!r} must be a mapping")
+    if base is None and args.config:
+        base = runio.load_config(args.config)
+    for key, value in (base or {}).items():
+        if key not in config:
+            raise ConfigError(f"unknown config section {key!r}")
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be a mapping")
+        config[key].update(value)
     if getattr(args, "model", None):
         config["model"]["name"] = args.model
     for key, value in _parse_set(getattr(args, "set", None) or []):
@@ -109,6 +109,8 @@ def _check_learning(config: dict) -> None:
     unknown = set(learning) - set(LearningConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown learning key(s): {sorted(unknown)}")
+    if "seed" in learning:
+        raise ConfigError("learning.seed is set by --seed, not in the config")
     try:
         LearningConfig(**learning)
     except (TypeError, ValueError) as exc:
@@ -167,15 +169,18 @@ def cmd_sweep(args) -> int:
         _check_learning(config)
 
     parameters = [(str(name), list(values)) for name, values in sweep_cfg["parameters"]]
-    grid = SweepGrid(
-        model=model_name,
-        parameters=parameters,
-        algorithm=algorithm,
-        base_params=config["model"].get("params") or {},
-        solver=config.get("solver") or {},
-        learning=config.get("learning") or {},
-        base_seed=args.seed if args.seed is not None else int(sweep_cfg.get("base_seed", 0)),
-    )
+    try:
+        grid = SweepGrid(
+            model=model_name,
+            parameters=parameters,
+            algorithm=algorithm,
+            base_params=config["model"].get("params") or {},
+            solver=config.get("solver") or {},
+            learning=config.get("learning") or {},
+            base_seed=args.seed if args.seed is not None else int(sweep_cfg.get("base_seed", 0)),
+        )
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"invalid sweep grid: {exc.args[0]}") from exc
     t0 = time.perf_counter()
     result = comparative_statics_sweep(grid, workers=args.workers)
     elapsed = time.perf_counter() - t0
@@ -221,18 +226,9 @@ def cmd_verify(args) -> int:
         ]
         checks.append(("manifest", not missing, f"missing artifact(s): {missing}" if missing else "all artifacts present"))
 
-    if manifest is not None and not args.config:
-        # The manifest's config echo reproduces the run; --model/--set still
-        # apply on top for deliberate cross-checks.
-        config = {k: dict(v) for k, v in manifest["config"].items()}
-        if getattr(args, "model", None):
-            config["model"]["name"] = args.model
-        for key, value in _parse_set(getattr(args, "set", None) or []):
-            if "." not in key:
-                key = f"model.params.{key}"
-            runio.set_by_path(config, key, value)
-    else:
-        config = _assemble_config(args)
+    # The manifest's config echo reproduces the run; --model/--set still
+    # apply on top for deliberate cross-checks.
+    config = _assemble_config(args, manifest["config"] if manifest is not None and not args.config else None)
     sol = runio.load_solution(solution_path)
 
     model_name = config["model"].get("name") or sol.model_name

@@ -96,13 +96,15 @@ class MfeSolution:
 
 @dataclass
 class ResidualEval:
-    """f(m) together with the by-products of its evaluation."""
+    """f(m) together with the by-products of its evaluation (a sampled f has
+    no value table and no unclamped aggregate)."""
 
+    m: float | np.ndarray
     f: float | np.ndarray
     policy: StationaryPolicy
     population: PopulationState
     m_of_s: float | np.ndarray
-    value_table: dp.ValueTable
+    value_table: Optional[dp.ValueTable] = None
     f_raw: float | np.ndarray = None   # residual against the unclamped aggregate
 
 
@@ -125,12 +127,49 @@ def residual(model: ModelSpec, m, *, start: Optional[StationaryPolicy] = None) -
     if model.bounds.dim == 1:
         f = float(f)
         f_raw = float(f_raw[0])
-    return ResidualEval(f=f, policy=g, population=s, m_of_s=m_of_s, value_table=V, f_raw=f_raw)
+    return ResidualEval(m=m, f=f, policy=g, population=s, m_of_s=m_of_s, value_table=V, f_raw=f_raw)
 
 
 def _consistency_residual(model: ModelSpec, g: StationaryPolicy, s: PopulationState, m) -> float:
     P = build_chain(model, g, m)
     return float(np.abs(s.probs @ P.rows - s.probs).sum())
+
+
+def bisect_residual(
+    evaluate: Callable[[float], ResidualEval],
+    lo: float,
+    hi: float,
+    cfg: SolverConfig,
+    trace: list,
+    best: Optional[ResidualEval] = None,
+    bracket_tol: Optional[float] = None,
+) -> tuple[ResidualEval, str, int]:
+    """The bisection loop of every scalar solver; evaluate(m) is the
+    solver's oracle for f(m), and each step appends a "midpoint" trace row.
+
+    Stops when |f| <= cfg.residual_tol ("residual"); otherwise the endpoint
+    on the side of f's sign moves, and the loop stops once the bracket is no
+    wider than bracket_tol ("bracket"; None never stops on width) or after
+    cfg.max_outer steps ("max_outer").  On a sampled f the residual stop has
+    already failed when the bracket moves, so the move is a dead-zone move.
+    Returns (evaluation, stop reason, steps): the last evaluation, or at
+    "max_outer" the least-|f| one, best included, the earliest on ties.
+    """
+    for outer in range(1, cfg.max_outer + 1):
+        m_t = 0.5 * (lo + hi)
+        ev = evaluate(m_t)
+        trace.append({"iter": outer, "m": m_t, "f": ev.f, "lo": lo, "hi": hi, "kind": "midpoint"})
+        if abs(ev.f) <= cfg.residual_tol:
+            return ev, "residual", outer
+        if best is None or abs(ev.f) < abs(best.f):
+            best = ev
+        if ev.f > 0:
+            hi = m_t
+        else:
+            lo = m_t
+        if bracket_tol is not None and hi - lo <= bracket_tol:
+            return ev, "bracket", outer
+    return best, "max_outer", cfg.max_outer
 
 
 def adaptive_vfi(model: ModelSpec, cfg: Optional[SolverConfig] = None) -> MfeSolution:
@@ -179,35 +218,11 @@ def adaptive_vfi(model: ModelSpec, cfg: Optional[SolverConfig] = None) -> MfeSol
     ]
 
     best = f_lo if abs(f_lo.f) <= abs(f_hi.f) else f_hi
-    best_m = lo if best is f_lo else hi
-    stop_reason = ""
-    converged = False
-    outer = 0
-    while outer < cfg.max_outer:
-        outer += 1
-        m_t = 0.5 * (lo + hi)
-        ev = f_eval(m_t)
-        trace.append({"iter": outer, "m": m_t, "f": ev.f, "lo": lo, "hi": hi, "kind": "midpoint"})
-        if abs(ev.f) < abs(best.f):
-            best, best_m = ev, m_t
-        if abs(ev.f) <= cfg.residual_tol:
-            best, best_m = ev, m_t
-            stop_reason, converged = "residual", True
-            break
-        if ev.f > 0:
-            hi = m_t
-        else:
-            lo = m_t
-        if hi - lo <= cfg.bracket_tol:
-            best, best_m = ev, m_t
-            stop_reason, converged = "bracket", True
-            break
-    else:
-        stop_reason = "max_outer"
+    best, stop_reason, outer = bisect_residual(f_eval, lo, hi, cfg, trace, best, cfg.bracket_tol)
 
-    consistency = _consistency_residual(model, best.policy, best.population, best_m)
+    consistency = _consistency_residual(model, best.policy, best.population, best.m)
     return MfeSolution(
-        m_star=best_m,
+        m_star=best.m,
         policy=best.policy,
         population=best.population,
         residual=abs(best.f),
@@ -215,7 +230,7 @@ def adaptive_vfi(model: ModelSpec, cfg: Optional[SolverConfig] = None) -> MfeSol
         algorithm="adaptive_vfi",
         trace=trace,
         wall_time=time.perf_counter() - t0,
-        converged=converged,
+        converged=stop_reason != "max_outer",
         stop_reason=stop_reason,
         iterations=outer,
         model_name=model.name,

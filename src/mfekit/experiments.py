@@ -21,17 +21,11 @@ import numpy as np
 
 from . import models as model_registry
 from .equilibrium import MfeSolution, SolverConfig, adaptive_vfi, broyden_solve, fixed_point_iteration
-from .learning import LearningConfig, adaptive_policy_gradient, adaptive_q_learning
+from .learning import LearningConfig, adaptive_policy_gradient, adaptive_q_learning, spawned_seed
 from .core import PopulationState
 
 ALGORITHMS = ("vfi", "qlearn", "pgrad", "broyden", "fixedpoint")
 LEARNERS = ("qlearn", "pgrad")
-
-
-def cell_seed(base_seed: int, index_tuple: tuple) -> int:
-    """Order-independent per-cell seed: hash of (base seed, grid index)."""
-    ss = np.random.SeedSequence(base_seed, spawn_key=tuple(int(i) for i in index_tuple))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass
@@ -176,7 +170,7 @@ def _run_cell(args) -> SweepCell:
     cell = SweepCell(index=tuple(index), params=dict(overrides))
     t0 = time.perf_counter()
     try:
-        seed = cell_seed(grid_dict["base_seed"], index)
+        seed = spawned_seed(grid_dict["base_seed"], *index)
         sol, model = solve_by_name(
             grid_dict["model"],
             grid_params,

@@ -2,9 +2,10 @@
 
 The inner learners solve the agent's problem at a frozen interaction value:
 tabular Q-learning with epsilon-greedy exploration and experience replay, or
-projected policy gradient with direct parameterization.  The adaptive outer
-loops wrap either learner in the same dead-zone bisection on the sampled
-residual f_hat(m) = m - M(s_hat, g_hat).
+projected policy gradient with direct parameterization.  The adaptive solvers
+run either learner inside the exact solver's outer loop
+(equilibrium.bisect_residual), which on the sampled residual
+f_hat(m) = m - M(s_hat, g_hat) is a dead-zone bisection.
 
 Q-learning and the Monte Carlo sampling step touch the model only through the
 restricted SampleView, so neither the expected payoff nor the enumerated
@@ -15,6 +16,7 @@ transition law (a sampled estimator is available when that is off limits).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
@@ -29,7 +31,7 @@ from .core import (
     as_sample_view,
     interaction_value,
 )
-from .equilibrium import MfeSolution, SolverConfig, _consistency_residual
+from .equilibrium import MfeSolution, ResidualEval, SolverConfig, _consistency_residual, bisect_residual
 
 
 @dataclass
@@ -380,9 +382,10 @@ def projected_policy_gradient(model, m: float, cfg: LearningConfig) -> DirectPol
     return DirectPolicy(probs=sigma, m=float(m), feasible=mask, value=value)
 
 
-def _spawned_seed(base_seed: int, *key: int) -> int:
-    """Stable child seed for (outer iteration, role) pairs."""
-    ss = np.random.SeedSequence(base_seed, spawn_key=tuple(key))
+def spawned_seed(base_seed: int, *key: int) -> int:
+    """Stable child seed for a key such as a sweep cell's grid index or an
+    outer step and its role; independent of the order keys are drawn in."""
+    ss = np.random.SeedSequence(base_seed, spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -390,70 +393,55 @@ def _adaptive_sampled_bisection(
     model,
     scfg: SolverConfig,
     lcfg: LearningConfig,
-    inner,               # (m, outer_iteration) -> StationaryPolicy
+    inner,               # (m, LearningConfig) -> StationaryPolicy
     algorithm: str,
 ) -> MfeSolution:
-    """Dead-zone bisection on the sampled residual shared by both learners.
+    """Dead-zone bisection (equilibrium.bisect_residual, delta = residual_tol,
+    no width stop) on the sampled residual, shared by both learners.
 
-    Per outer iteration: learn a policy at the midpoint, simulate K
-    transitions to estimate the invariant distribution, evaluate
-    f_hat = m - M(s_hat, g_hat), and move the bracket endpoint only when
-    |f_hat| exceeds the dead-zone delta (which is also the stopping test).
-    If the outer cap is exhausted, the best-|f_hat| iterate is returned
-    flagged as non-converged.
+    The oracle for outer step t learns a policy at the midpoint with the
+    seed spawned from (t, 0), estimates its invariant distribution from K
+    transitions with the seed spawned from (t, 1), and returns
+    f_hat = m - M(s_hat, g_hat).
     """
     if model.bounds.dim != 1:
         raise ValueError("the adaptive learners require a scalar interaction")
     view = as_sample_view(model)
     t0 = time.perf_counter()
-    lo = float(model.bounds.lo_vec[0])
-    hi = float(model.bounds.hi_vec[0])
-    delta = scfg.residual_tol
     x0 = 0   # minimal state index; recorded in provenance
+    steps = itertools.count(1)
 
-    trace = []
-    best = None
-    converged = False
-    outer = 0
-    while outer < scfg.max_outer:
-        outer += 1
-        m_t = 0.5 * (lo + hi)
-        g_t = inner(m_t, outer)
-        mc_seed = _spawned_seed(lcfg.seed, outer, 1)
+    def evaluate(m_t: float) -> ResidualEval:
+        outer = next(steps)
+        g_t = inner(m_t, replace(lcfg, seed=spawned_seed(lcfg.seed, outer, 0)))
+        mc_seed = spawned_seed(lcfg.seed, outer, 1)
         s_hat = monte_carlo_stationary(view, g_t, m_t, lcfg.mc_samples, seed=mc_seed, x0=x0)
         m_of_s = interaction_value(model, s_hat, g_t, m_t)
-        f_hat = m_t - float(m_of_s)
-        trace.append({"iter": outer, "m": m_t, "f": f_hat, "lo": lo, "hi": hi, "kind": "midpoint"})
-        if best is None or abs(f_hat) < abs(best[1]):
-            best = (m_t, f_hat, g_t, s_hat)
-        if abs(f_hat) <= delta:
-            converged = True
-            break
-        if f_hat > delta:
-            hi = m_t
-        elif f_hat < -delta:
-            lo = m_t
+        return ResidualEval(m=m_t, f=m_t - float(m_of_s), policy=g_t, population=s_hat, m_of_s=m_of_s)
 
-    m_star, f_star, g_star, s_star = best
+    trace = []
+    lo, hi = float(model.bounds.lo_vec[0]), float(model.bounds.hi_vec[0])
+    best, stop_reason, outer = bisect_residual(evaluate, lo, hi, scfg, trace)
+
     # Diagnostic only: the exact consistency residual needs the enumerated
     # kernel, which pure simulators may not provide.  The solve itself stays
     # model-free either way.
     try:
-        consistency = _consistency_residual(model, g_star, s_star, m_star)
+        consistency = _consistency_residual(model, best.policy, best.population, best.m)
     except Exception:
         consistency = float("nan")
     return MfeSolution(
-        m_star=m_star,
-        policy=g_star,
-        population=s_star,
-        residual=abs(f_star),
+        m_star=best.m,
+        policy=best.policy,
+        population=best.population,
+        residual=abs(best.f),
         consistency_residual=consistency,
         algorithm=algorithm,
         trace=trace,
         seeds={"base": lcfg.seed},
         wall_time=time.perf_counter() - t0,
-        converged=converged,
-        stop_reason="residual" if converged else "max_outer",
+        converged=stop_reason != "max_outer",
+        stop_reason=stop_reason,
         iterations=outer,
         model_name=model.name,
         config={**scfg.to_dict(), **lcfg.to_dict()},
@@ -465,9 +453,8 @@ def adaptive_q_learning(model, scfg: SolverConfig, lcfg: LearningConfig) -> MfeS
     """Equilibrium search with Q-learning as the inner solver (model-free)."""
     view = as_sample_view(model)
 
-    def inner(m_t: float, outer: int) -> StationaryPolicy:
-        q = q_learning(view, m_t, replace(lcfg, seed=_spawned_seed(lcfg.seed, outer, 0)))
-        return greedy_policy(q)
+    def inner(m_t: float, cfg: LearningConfig) -> StationaryPolicy:
+        return greedy_policy(q_learning(view, m_t, cfg))
 
     return _adaptive_sampled_bisection(model, scfg, lcfg, inner, "adaptive_q_learning")
 
@@ -480,8 +467,7 @@ def adaptive_policy_gradient(model, scfg: SolverConfig, lcfg: LearningConfig) ->
     the chain estimate.
     """
 
-    def inner(m_t: float, outer: int) -> StationaryPolicy:
-        sigma = projected_policy_gradient(model, m_t, replace(lcfg, seed=_spawned_seed(lcfg.seed, outer, 0)))
-        return sigma.mode()
+    def inner(m_t: float, cfg: LearningConfig) -> StationaryPolicy:
+        return projected_policy_gradient(model, m_t, cfg).mode()
 
     return _adaptive_sampled_bisection(model, scfg, lcfg, inner, "adaptive_policy_gradient")

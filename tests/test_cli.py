@@ -73,6 +73,25 @@ def test_solve_invalid_learning_value_exits_one(tmp_path, capsys, algorithm, ove
     assert "config error" in err and "bogus" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_learning_seed_in_config_exits_one_naming_seed_flag(tmp_path, capsys, command):
+    # The learners' seed comes from --seed alone; a config value would be
+    # overwritten by it.
+    cfg = {
+        "model": {"name": "two-state-toy"},
+        "learning": {"seed": 5},
+        "sweep": {"algorithm": "qlearn", "parameters": [["discount", [0.9]]]},
+    }
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "x"
+    extra = ["--algorithm", "qlearn"] if command == "solve" else []
+    assert run_cli(command, "--config", str(cfg_path), *extra, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "learning.seed" in err and "--seed" in err
+    assert not out.exists()
+
+
 def test_verify_round_trip(tmp_path):
     out = tmp_path / "run"
     assert run_cli("solve", "--model", "two-state-toy", "--out", str(out)) == 0
@@ -178,7 +197,8 @@ def test_sweep_from_config(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "section, key", [("solver", "resdual_tol"), ("model", "warp_factor")]
+    "section, key",
+    [("solver", "resdual_tol"), ("model", "warp_factor"), ("parameter", "alphaa"), ("algorithm", "vfii")],
 )
 def test_sweep_config_typo_exits_one_before_any_cell(tmp_path, capsys, section, key):
     cfg = {
@@ -186,8 +206,13 @@ def test_sweep_config_typo_exits_one_before_any_cell(tmp_path, capsys, section, 
         "solver": {},
         "sweep": {"parameters": [["alpha", [45.0, 55.0]]]},
     }
-    target = cfg["model"]["params"] if section == "model" else cfg["solver"]
-    target[key] = 1e-3
+    if section == "parameter":
+        cfg["sweep"]["parameters"] = [[key, [45.0]]]
+    elif section == "algorithm":
+        cfg["sweep"]["algorithm"] = key
+    else:
+        target = cfg["model"]["params"] if section == "model" else cfg["solver"]
+        target[key] = 1e-3
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "sweep"

@@ -5,8 +5,10 @@ from mfekit import models
 from mfekit.core import PopulationState, ScalarBounds
 from mfekit.equilibrium import (
     BracketError,
+    ResidualEval,
     SolverConfig,
     adaptive_vfi,
+    bisect_residual,
     broyden_root,
     broyden_solve,
     fixed_point_iteration,
@@ -241,3 +243,34 @@ def test_dead_zone_bisection_preserves_bracket_under_bounded_noise(toy_model):
             lo = m
         assert lo <= 0.5 <= hi
         assert 2 * lo - 1.0 <= 0.0 <= 2 * hi - 1.0
+
+
+def test_bisect_residual_keeps_the_root_under_noise_within_residual_tol():
+    # The shipped loop on f(m) = 2m - 1 plus noise of at most delta: no
+    # dead-zone move cuts the root 0.5 out of the bracket, and without a
+    # bracket tolerance the width never stops the loop.
+    delta = 0.05
+    rng = np.random.default_rng(123)
+
+    def noisy(noise):
+        def evaluate(m):
+            f_true = 2 * m - 1.0
+            return ResidualEval(m=m, f=f_true + noise(f_true), policy=None, population=None, m_of_s=None)
+        return evaluate
+
+    cfg = SolverConfig(residual_tol=delta, max_outer=60)
+    for _ in range(10):
+        trace = []
+        _, stop_reason, _ = bisect_residual(noisy(lambda f: rng.uniform(-delta, delta)), 0.1, 1.0, cfg, trace)
+        assert all(row["lo"] <= 0.5 <= row["hi"] for row in trace)
+        assert stop_reason in ("residual", "max_outer")
+
+    # Noise of size delta on f's side keeps every draw outside the dead zone,
+    # so the loop runs its whole budget with the bracket far below the
+    # default bracket_tol.
+    cfg = SolverConfig(residual_tol=delta, max_outer=40)
+    trace = []
+    _, stop_reason, outer = bisect_residual(noisy(lambda f: delta * np.sign(f)), 0.1, 1.0, cfg, trace)
+    assert (stop_reason, outer, len(trace)) == ("max_outer", 40, 40)
+    assert all(row["lo"] <= 0.5 <= row["hi"] for row in trace)
+    assert trace[-1]["hi"] - trace[-1]["lo"] < SolverConfig().bracket_tol

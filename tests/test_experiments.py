@@ -5,19 +5,19 @@ from mfekit import models
 from mfekit.equilibrium import SolverConfig, adaptive_vfi
 from mfekit.experiments import (
     SweepGrid,
-    cell_seed,
     comparative_statics_sweep,
     heatmap_matrix_csv,
     heatmap_svg,
     monotonicity_check,
     revenue_heatmap,
 )
+from mfekit.learning import spawned_seed
 
 
 def test_cell_seed_stable_and_order_free():
-    assert cell_seed(7, (0, 1)) == cell_seed(7, (0, 1))
-    assert cell_seed(7, (0, 1)) != cell_seed(7, (1, 0))
-    assert cell_seed(7, (0, 1)) != cell_seed(8, (0, 1))
+    assert spawned_seed(7, 0, 1) == spawned_seed(7, 0, 1)
+    assert spawned_seed(7, 0, 1) != spawned_seed(7, 1, 0)
+    assert spawned_seed(7, 0, 1) != spawned_seed(8, 0, 1)
 
 
 def test_grid_validates_parameter_paths():
